@@ -64,6 +64,16 @@ Rules (stdlib ``ast`` only, so this runs in the bare container):
            drift statically (a PL004 emit once shipped unregistered and
            only a rare scheduler-audit failure path would have tripped it).
 
+``RL009``  ``MemoryBlock.data`` may be rebound only in
+           ``src/repro/pim/block.py``: no assignment (plain, augmented,
+           annotated, unpacking or ``setattr(x, "data", ...)``) to a
+           ``.data`` attribute anywhere else in ``src/``.  On a chip a
+           block's ``data`` is a view into its tile's array, and plan
+           replay's lockstep programs index that array directly; a block
+           whose ``data`` was rebound would be detached from it, so replay
+           would write memory nobody reads.  Write through the view
+           (``blk.data[...] = ...``) instead.
+
 Usage::
 
     python scripts/lint_repo.py [--root PATH]
@@ -107,6 +117,8 @@ RL008_ALLOWED = (
     "src/repro/pim/multichip.py",
 )
 RL008_ATTRS = ("_run_plan", "_run_plan_faulty")
+
+RL009_ALLOWED = ("src/repro/pim/block.py",)
 
 #: RL006: where finding codes are registered / emitted.
 RL006_REGISTRY = "src/repro/analysis/findings.py"
@@ -232,6 +244,26 @@ def _lint_file(path: Path, root: Path,
                             f".{node.attr} referenced outside pim/executor.py "
                             "and pim/multichip.py — plan replay goes through "
                             "ChipExecutor.run / ShardedExecutor.run_steps"))
+
+    # RL009: block storage is bound once, in MemoryBlock.__init__
+    if not rel.startswith(RL009_ALLOWED):
+        for node in ast.walk(tree):
+            rebinds = (
+                isinstance(node, ast.Attribute) and node.attr == "data"
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+            ) or (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("setattr", "delattr")
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value == "data"
+            )
+            if rebinds:
+                out.append((path, node.lineno, "RL009",
+                            ".data rebound outside pim/block.py — a block's "
+                            "data is a view into its tile array; write "
+                            "through it (x.data[...] = ...) instead"))
 
     # RL007: broad except handlers must not swallow silently
     for node in ast.walk(tree):

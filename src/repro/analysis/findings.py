@@ -89,6 +89,8 @@ FINDING_CODES: Dict[str, str] = {
              "re-raise",
     "RL008": "ExecutionPlan replay internals (._run_plan) referenced "
              "outside ChipExecutor/ShardedExecutor",
+    "RL009": "MemoryBlock.data rebound outside pim/block.py (detaches the "
+             "block from its tile array, which lockstep replay writes)",
 }
 
 

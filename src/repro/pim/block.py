@@ -11,6 +11,13 @@ float32 words (= 1024 bits).  An arithmetic instruction applies to one
 word-column triple across a *range of rows simultaneously* — the
 row-parallelism that gives PIM its throughput — while the timing model in
 :mod:`repro.pim.arithmetic` prices it at the bit-serial NOR latency.
+
+On a chip, ``data`` is a view into its tile's ``(blocks, rows, row_words)``
+array (:attr:`repro.pim.tile.Tile.data`), which is what lets plan replay
+run one instruction across many blocks in a single numpy call.  Writes go
+through the view (``data[...] = ...``); ``data`` itself is bound once,
+here — rebinding it elsewhere would detach the block from its tile (repo
+lint RL009).
 """
 
 from __future__ import annotations
@@ -23,13 +30,23 @@ __all__ = ["MemoryBlock"]
 class MemoryBlock:
     """Word-level functional model of one crossbar memory block."""
 
-    def __init__(self, rows: int = 1024, row_words: int = 32, block_id: int = 0):
+    def __init__(self, rows: int = 1024, row_words: int = 32, block_id: int = 0,
+                 data: np.ndarray | None = None):
         if rows < 1 or row_words < 1:
             raise ValueError("block needs positive rows and row_words")
         self.rows = rows
         self.row_words = row_words
         self.block_id = block_id
-        self.data = np.zeros((rows, row_words), dtype=np.float32)
+        if data is None:
+            data = np.zeros((rows, row_words), dtype=np.float32)
+        elif data.shape != (rows, row_words) or data.dtype != np.float32:
+            raise ValueError(
+                f"block storage must be float32 {(rows, row_words)}, got "
+                f"{data.dtype} {data.shape}"
+            )
+        #: word storage; a view into the tile array when the block lives
+        #: on a chip (see the module docstring).
+        self.data = data
 
     # -- bounds checking ------------------------------------------------- #
 
@@ -42,8 +59,8 @@ class MemoryBlock:
 
         Side-effect-free by contract: the plan engine
         (:meth:`repro.pim.plan._VecSegment.build_apply`) validates whole
-        segments through ``_rows``/``_check`` *before* mutating any block
-        state, which is what makes a rejected stream execute nothing at
+        segments through ``_rows``/``_cols`` *before* mutating any block
+        state, which is what makes a rejected segment execute nothing at
         all under plan replay.
         """
         if isinstance(rows, tuple):
@@ -60,10 +77,14 @@ class MemoryBlock:
 
     def _check(self, rows, *cols: int):
         sel, _ = self._rows(rows)
+        self._cols(*cols)
+        return sel
+
+    def _cols(self, *cols: int) -> None:
+        """Reject word columns outside the row (``None`` means unused)."""
         for c in cols:
             if c is not None and not 0 <= c < self.row_words:
                 raise IndexError(f"column {c} outside row of {self.row_words} words")
-        return sel
 
     # -- row-parallel arithmetic ------------------------------------------ #
 

@@ -44,12 +44,8 @@ from repro.pim.arithmetic import HostOpModel, OpCosts, default_op_costs
 from repro.pim.chip import PimChip
 from repro.pim.isa import ARITHMETIC_OPS, Instruction, Opcode
 from repro.pim.plan import (
-    APPLY_ARITH,
-    APPLY_ARITH_BATCH,
-    APPLY_BROADCAST,
-    APPLY_COPY,
-    APPLY_COPY_BATCH,
-    APPLY_GATHER,
+    APPLY_MOVE,
+    APPLY_UFUNC,
     COPY_NORS,
     OP_IDS,
     STEP_SEGMENT,
@@ -602,8 +598,8 @@ class ChipExecutor:
         of precomputed durations from the serial starting point
         (``_compute_start`` dominates after the first op, see
         :mod:`repro.pim.plan`), fold the report accumulators in stream
-        order and — when ``functional`` — execute the segment's batched
-        word-level apply program; TRANSFERs run a precomputed fast path;
+        order and — when ``functional`` — execute the segment's lockstep
+        apply program; TRANSFERs run a precomputed fast path;
         everything that couples multiple clocks (LUT/HOSTOP/DRAM/BARRIER)
         dispatches through the unchanged serial handlers.  Bit-identical
         to ``run(plan.instructions, serial=True)``.
@@ -613,6 +609,10 @@ class ChipExecutor:
         if faults_on:
             self._run_plan_faulty(plan, functional, report)
             return
+        if functional and plan.apply_chip is not self.chip:
+            # lockstep programs index one chip's tile arrays: (re)build
+            # them for this chip on the way through.
+            plan.reset_apply(self.chip)
         bc = self._block_clock
         pf = self._port_free
         cnt = self.counters
@@ -663,7 +663,7 @@ class ChipExecutor:
                         bc[block] = fold_array(start, durs)
                         s_app(start)
                 if functional:
-                    self._segment_apply(payload, insts)
+                    self._segment_apply(payload, plan)
             elif kind == STEP_TRANSFER:
                 self._transfer_step(payload, functional, report)
             else:  # STEP_DISPATCH
@@ -749,43 +749,31 @@ class ChipExecutor:
         hits = f.draw_flips(ps, n_rows)
         return {int(elig[k]): v for k, v in hits.items()}
 
-    def _segment_apply(self, seg, insts) -> None:
+    def _segment_apply(self, seg, plan: ExecutionPlan) -> None:
         """Execute one segment's functional effects (fault-free fast path).
 
-        The batched program is built lazily on the first functional replay
-        (see :meth:`~repro.pim.plan._VecSegment.build_apply`); bounds were
-        validated at build time, so replay is raw float32 column math —
-        elementwise identical to the serial :class:`MemoryBlock` calls.
+        The lockstep program is built lazily on the first functional
+        replay on this chip (see
+        :meth:`~repro.pim.plan._VecSegment.build_apply`); bounds were
+        validated at build time, so replay is raw float32 column math on
+        the tile arrays — one numpy call per group of blocks issuing the
+        same op, elementwise identical to the serial :class:`MemoryBlock`
+        calls.
         """
         prog = seg.apply
         if prog is None:
-            prog = seg.build_apply(insts, self.chip)
-        block = self.chip.block
+            prog = seg.build_apply(plan.instructions, self.chip, plan.interned)
         for step in prog:
             kind = step[0]
-            if kind == APPLY_ARITH_BATCH:
-                _, b, sel, fn, dsts, s1s, s2s = step
-                d = block(b).data
-                d[sel, dsts] = fn(d[sel, s1s], d[sel, s2s])
-            elif kind == APPLY_ARITH:
-                _, b, sel, fn, dst, s1, s2 = step
-                d = block(b).data
-                d[sel, dst] = fn(d[sel, s1], d[sel, s2])
-            elif kind == APPLY_GATHER:
-                _, b, sel, dst, src, row_map = step
-                d = block(b).data
-                d[sel, dst] = d[row_map, src]
-            elif kind == APPLY_COPY_BATCH:
-                _, b, sel, dsts, s1s = step
-                d = block(b).data
-                d[sel, dsts] = d[sel, s1s]
-            elif kind == APPLY_COPY:
-                _, b, sel, dst, s1 = step
-                d = block(b).data
-                d[sel, dst] = d[sel, s1]
-            else:  # APPLY_BROADCAST
-                _, b, sel, dst, value = step
-                block(b).data[sel, dst] = value
+            if kind == APPLY_UFUNC:
+                _, a, dst, fn, s1, s2 = step
+                a[dst] = fn(a[s1], a[s2])
+            elif kind == APPLY_MOVE:
+                _, a, dst, src = step
+                a[dst] = a[src]
+            else:  # APPLY_FILL
+                _, a, dst, value = step
+                a[dst] = value
 
     def _apply_functional(self, inst: Instruction) -> None:
         """Serial functional semantics of one compute op (fault-mode path)."""

@@ -291,6 +291,9 @@ class ShardedExecutor:
         #: directed (src, dst) -> time the link frees up.
         self._link_free: Dict[Tuple[int, int], float] = defaultdict(float)
         self._lowered_dt: Optional[float] = None
+        #: the halo exchange after the last stage of a ``run_steps`` call,
+        #: carried into the next call (see :meth:`run_steps`).
+        self._exchange_pending = False
         k0 = self.shards[0].kernels
         #: exchanged payload per ghost element: its full state block rows.
         self.halo_bytes_per_element = (
@@ -311,7 +314,11 @@ class ShardedExecutor:
         return [fn(s) for s in idx]
 
     def setup(self, state: np.ndarray) -> None:
-        """Run every shard's setup + state load (owned *and* halo blocks)."""
+        """Run every shard's setup + state load (owned *and* halo blocks).
+
+        Loading writes the halo blocks too, so any exchange still carried
+        from an earlier :meth:`run_steps` call is dropped.
+        """
         def one(s: int) -> None:
             sh = self.shards[s]
             sh.executor.run(
@@ -319,6 +326,7 @@ class ShardedExecutor:
                 functional=True,
             )
         self._each(one)
+        self._exchange_pending = False
 
     def lower_step(self, dt: float) -> None:
         """Lower each shard's per-phase plans once (reused every stage)."""
@@ -374,8 +382,14 @@ class ShardedExecutor:
 
         Per stage: parallel volume replay (overlaps the previous stage's
         in-flight exchange), halo-arrival sync, parallel flux +
-        integration replay, then the next exchange round — skipped after
-        the very last stage, when no one consumes it.
+        integration replay, then the next exchange round.  The round after
+        a call's last stage has no consumer inside the call, so it is
+        carried: the next call posts it first, before its first volume
+        replay — the same departure times and ghost data as one call of
+        all the steps, and still overlapping that volume.  Stepping in
+        several calls is therefore clock- and bit-identical to stepping in
+        one; :meth:`setup` drops a carried exchange, since it reloads the
+        halos.
         """
         if self._lowered_dt != dt:
             self.lower_step(dt)
@@ -385,6 +399,9 @@ class ShardedExecutor:
         link_events: List[Tuple[int, int, float, float, int]] = []
         halo_wait = 0.0
         arrivals = [0.0] * self.n_shards
+        if self._exchange_pending and n_steps > 0:
+            arrivals = self._exchange(functional, link_events)
+            self._exchange_pending = False
 
         def replay(plan_of: Callable[[Shard], Any]) -> None:
             def one(s: int) -> None:
@@ -403,8 +420,11 @@ class ShardedExecutor:
                     sh.executor.sync_at(arrivals[s])
                 replay(lambda sh: sh.flux_plan)
                 replay(lambda sh, _stage=stage: sh.int_plans[_stage])
-                last = step == n_steps - 1 and stage == n_stages - 1
-                if not last and self.sharding.exchanges:
+                if not self.sharding.exchanges:
+                    continue
+                if step == n_steps - 1 and stage == n_stages - 1:
+                    self._exchange_pending = True
+                else:
                     arrivals = self._exchange(functional, link_events)
         return self._finish(reports, link_events, halo_wait)
 

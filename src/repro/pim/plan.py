@@ -13,15 +13,17 @@ instead of thousands of Python dispatches.
 
 Plan replay is the *universal* execution path (DESIGN.md §13): analytic,
 functional and fault-injecting runs all go through it.  Functional
-replay executes each compute segment as a batched word-level program
-against :class:`~repro.pim.block.MemoryBlock` state (built lazily by
-:meth:`_VecSegment.build_apply`, hazard-split so column batching never
-reorders a read past a write).  Fault-injecting replay pre-draws the
-flip stream vectorized (:meth:`~repro.faults.model.FaultModel.draw_flips`
-consumes the seeded generator bit-identically to per-instruction draws)
-and walks segments per instruction with every cost precomputed.  Serial
-dispatch survives only as the audit reference
-(``ChipExecutor.run(..., serial=True)``).
+replay runs the blocks in lockstep, as the chip does: a segment holds
+only block-local compute ops, so ops of different blocks commute, and
+each segment's program (built lazily by :meth:`_VecSegment.build_apply`)
+issues one numpy call over a tile's block array
+(:attr:`repro.pim.tile.Tile.data`) for every group of blocks whose next
+op is the same, keeping each block's own op order.  Fault-injecting
+replay pre-draws the flip stream vectorized
+(:meth:`~repro.faults.model.FaultModel.draw_flips` consumes the seeded
+generator bit-identically to per-instruction draws) and walks segments
+per instruction with every cost precomputed.  Serial dispatch survives
+only as the audit reference (``ChipExecutor.run(..., serial=True)``).
 
 Bit-identity contract
 ---------------------
@@ -73,7 +75,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -83,6 +84,7 @@ from repro.pim.isa import ARITHMETIC_OPS, Instruction, Opcode
 
 if TYPE_CHECKING:
     from repro.pim.arithmetic import OpCosts
+    from repro.pim.block import MemoryBlock
     from repro.pim.chip import PimChip
 
 __all__ = [
@@ -136,17 +138,25 @@ STEP_SEGMENT = 0
 STEP_TRANSFER = 1
 STEP_DISPATCH = 2
 
-#: functional-apply op kinds (first element of a ``_VecSegment.apply`` row).
-APPLY_ARITH = 0
-APPLY_ARITH_BATCH = 1
-APPLY_COPY = 2
-APPLY_COPY_BATCH = 3
-APPLY_GATHER = 4
-APPLY_BROADCAST = 5
+#: lockstep-program entry kinds (first element of a ``_VecSegment.apply``
+#: entry ``(kind, array, dst index, ...)``):
+#: ``array[dst] = ufunc(array[a], array[b])`` (ADD/SUB/MUL),
+#: ``array[dst] = array[src]`` (COPY, and GATHER with the row map in
+#: ``src``) and ``array[dst] = value`` (BROADCAST).
+APPLY_UFUNC = 0
+APPLY_MOVE = 1
+APPLY_FILL = 2
 
-#: ufunc per arithmetic opcode: the batched apply computes the exact same
-#: float32 elementwise operation as ``MemoryBlock.add``/``sub``/``mul``.
-_APPLY_UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
+#: ufunc per arithmetic opcode id: the lockstep apply computes the exact
+#: same float32 elementwise operation as ``MemoryBlock.add``/``sub``/``mul``.
+_APPLY_UFUNCS = {
+    OP_IDS[Opcode.ADD]: np.add,
+    OP_IDS[Opcode.SUB]: np.subtract,
+    OP_IDS[Opcode.MUL]: np.multiply,
+}
+_BROADCAST_ID = OP_IDS[Opcode.BROADCAST]
+_GATHER_ID = OP_IDS[Opcode.GATHER]
+_COPY_ID = OP_IDS[Opcode.COPY]
 
 
 def plan_enabled() -> bool:
@@ -220,116 +230,191 @@ class _VecSegment:
         #: replay (analytic replays never pay for it).
         self.apply: Optional[List[Tuple[Any, ...]]] = None
 
-    def build_apply(self, insts: Sequence[Instruction],
-                    chip: "PimChip") -> List[Tuple[Any, ...]]:
-        """Compile this segment's functional effects into a batched program.
+    def build_apply(self, insts: Sequence[Instruction], chip: "PimChip",
+                    interned: Dict[Hashable, Any]) -> List[Tuple[Any, ...]]:
+        """Compile this segment's functional effects into a lockstep program.
 
-        Validation (row/column bounds, row-map shape) runs *once* here with
-        the exact :class:`~repro.pim.block.MemoryBlock` checks, so replay
-        applies raw numpy ops.  Consecutive same-opcode/-block/-row-range
-        arithmetic/COPY ops collapse into one fancy-indexed column batch
-        (``data[sel, dsts] = data[sel, s1s] op data[sel, s2s]``); a batch
-        is flushed before any op that reads or rewrites a column the batch
-        already writes, so RAW/WAW hazards keep serial semantics (WAR is
-        safe: numpy materializes the whole right-hand side first).
+        A segment holds only block-local compute ops, so ops of different
+        blocks touch disjoint memory and commute: only each block's own
+        stream order matters.  The build queues every block's ops in
+        stream order, then merges the queues in *lockstep* rounds — each
+        round takes the next op of every block, and the blocks of one tile
+        whose next ops share a signature (opcode, row selector, columns,
+        ``row_map``) become one numpy call over the tile array
+        (:attr:`repro.pim.tile.Tile.data`), indexed by those blocks.  That
+        is how the chip runs an instruction: every block at once, row-
+        parallel (§4–§5).  BROADCAST values are stacked per block; a group
+        of one block indexes that block's 2-D view directly.  Each call
+        computes the same float32 elementwise operation as the serial
+        :class:`~repro.pim.block.MemoryBlock` method on each of its
+        blocks, so block state stays bit-identical to serial dispatch.
+
+        Validation (row/column bounds, row-map shape and bounds, broadcast
+        shape) runs here with the ``MemoryBlock`` checks for every op
+        before anything executes, so an out-of-bounds op in any block
+        raises with all block state untouched.  Index arrays — row
+        selectors, row maps and block sets, which recur every RK stage —
+        are interned in ``interned`` (one table per plan): replay memory
+        holds one copy per distinct array, and a row index array is
+        bounds-checked once, when first seen.
         """
-        prog: List[Tuple[Any, ...]] = []
-        b_op: Optional[Opcode] = None
-        b_block: Any = None
-        b_rows: Optional[Tuple[int, int]] = None
-        b_sel: Any = None
-        b_dst: List[int] = []
-        b_s1: List[int] = []
-        b_s2: List[int] = []
-        b_written: Set[int] = set()
-
-        def flush() -> None:
-            nonlocal b_op
-            if b_op is None:
-                return
-            if len(b_dst) == 1:
-                if b_op is Opcode.COPY:
-                    prog.append((APPLY_COPY, b_block, b_sel, b_dst[0], b_s1[0]))
-                else:
-                    prog.append((APPLY_ARITH, b_block, b_sel,
-                                 _APPLY_UFUNCS[b_op.value],
-                                 b_dst[0], b_s1[0], b_s2[0]))
-            elif b_op is Opcode.COPY:
-                prog.append((APPLY_COPY_BATCH, b_block, b_sel,
-                             np.asarray(b_dst), np.asarray(b_s1)))
-            else:
-                prog.append((APPLY_ARITH_BATCH, b_block, b_sel,
-                             _APPLY_UFUNCS[b_op.value],
-                             np.asarray(b_dst), np.asarray(b_s1),
-                             np.asarray(b_s2)))
-            b_op = None
-            b_dst.clear()
-            b_s1.clear()
-            b_s2.clear()
-            b_written.clear()
-
+        bpt = chip.config.blocks_per_tile
+        blocks: Dict[Any, "MemoryBlock"] = {}
+        #: per block, in stream order: (signature id, signature, row
+        #: selector, row map or BROADCAST value)
+        queues: Dict[Any, List[Tuple[int, Tuple[Any, ...], Any, Any]]] = {}
+        sig_ids: Dict[Tuple[Any, ...], int] = {}
         for i in range(self.start, self.stop):
             inst = insts[i]
             op = inst.op
-            blk = chip.block(inst.block)
+            blk = blocks.get(inst.block)
+            if blk is None:
+                blk = blocks[inst.block] = chip.block(inst.block)
+                queues[inst.block] = []
+            rkey, rsel, n_sel = _row_selector(interned, inst.rows, blk)
+            src = inst.src1
+            other: Any = None
+            extra: Any = None
             if op is Opcode.GATHER:
-                flush()
-                sel, n_sel = blk._rows(inst.rows)
-                blk._check(inst.rows, inst.dst, inst.src1)
+                blk._cols(inst.dst, src)
                 row_map = np.asarray(inst.row_map, dtype=np.int64)
                 if row_map.shape != (n_sel,):
                     raise ValueError(
                         f"row_map must have {n_sel} entries, got {row_map.shape}"
                     )
-                if row_map.size and (
-                    np.any(row_map < 0) or np.any(row_map >= blk.rows)
-                ):
-                    raise IndexError("row_map entry outside block")
-                prog.append((APPLY_GATHER, inst.block, sel, inst.dst,
-                             inst.src1, row_map))
-                continue
-            if op is Opcode.BROADCAST:
-                flush()
-                sel, n_sel = blk._rows(inst.rows)
-                blk._check(inst.rows, inst.dst)
-                value = np.asarray(inst.value, dtype=np.float32)
-                if value.ndim not in (0, 1):
+                other, extra = _row_map_selector(interned, row_map, blk)
+            elif op is Opcode.BROADCAST:
+                blk._cols(inst.dst)
+                extra = np.asarray(inst.value, dtype=np.float32)
+                if extra.ndim not in (0, 1):
                     raise ValueError("broadcast value must be scalar or 1-D")
-                if value.ndim == 1 and value.shape != (n_sel,):
+                if extra.ndim == 1 and extra.shape != (n_sel,):
                     raise ValueError(f"broadcast vector must have {n_sel} entries")
-                prog.append((APPLY_BROADCAST, inst.block, sel, inst.dst, value))
-                continue
-            # arithmetic / COPY
-            if op is Opcode.COPY:
-                sel = blk._check(inst.rows, inst.dst, inst.src1)
-                reads = (inst.src1,)
+                src = None
+                other = extra.ndim
+            elif op is Opcode.COPY:
+                blk._cols(inst.dst, src)
             else:
-                sel = blk._check(inst.rows, inst.dst, inst.src1, inst.src2)
-                reads = (inst.src1, inst.src2)
-            rows_key = inst.rows if isinstance(inst.rows, tuple) else None
-            if (b_op is not op or b_block != inst.block or rows_key is None
-                    or b_rows != rows_key or inst.dst in b_written
-                    or any(r in b_written for r in reads)):
-                flush()
-            if rows_key is None:
-                # index-array row selector: apply singly (rare in practice)
-                if op is Opcode.COPY:
-                    prog.append((APPLY_COPY, inst.block, sel, inst.dst, inst.src1))
-                else:
-                    prog.append((APPLY_ARITH, inst.block, sel,
-                                 _APPLY_UFUNCS[op.value],
-                                 inst.dst, inst.src1, inst.src2))
-                continue
-            if b_op is None:
-                b_op, b_block, b_rows, b_sel = op, inst.block, rows_key, sel
-            b_dst.append(inst.dst)
-            b_s1.append(inst.src1)
-            if op is not Opcode.COPY:
-                b_s2.append(inst.src2)
-            b_written.add(inst.dst)
-        flush()
+                blk._cols(inst.dst, src, inst.src2)
+                other = inst.src2
+            sig = (blk.block_id // bpt, OP_IDS[op], rkey, inst.dst, src, other)
+            queues[inst.block].append(
+                (sig_ids.setdefault(sig, len(sig_ids)), sig, rsel, extra))
+
+        prog: List[Tuple[Any, ...]] = []
+        heads = dict.fromkeys(queues, 0)
+        while heads:
+            groups: Dict[int, List[Any]] = {}
+            for b, pos in heads.items():
+                groups.setdefault(queues[b][pos][0], []).append(b)
+            for group in groups.values():
+                entries = [queues[b][heads[b]] for b in group]
+                if len(group) == 1:
+                    prog.append(_lockstep_call(
+                        blocks[group[0]].data, None, None, entries))
+                    continue
+                tile_id = entries[0][1][0]
+                base = tile_id * bpt
+                flat, column = _block_selector(
+                    interned, tuple(b - base for b in group))
+                prog.append(_lockstep_call(
+                    chip.tile(tile_id).data, flat, column, entries))
+            heads = {b: pos + 1 for b, pos in heads.items()
+                     if pos + 1 < len(queues[b])}
         self.apply = prog
         return prog
+
+
+def _row_selector(interned: Dict[Hashable, Any], rows: Any,
+                  blk: "MemoryBlock") -> Tuple[Hashable, Any, int]:
+    """Validate a row selector; return its signature key, numpy selector
+    and row count.
+
+    Ranges are checked by ``MemoryBlock._rows`` on every use.  An index
+    array is checked by it once per plan: the interned table only holds
+    arrays that passed, and every block of a chip has the same rows.
+    """
+    if isinstance(rows, tuple):
+        sel, n = blk._rows(rows)
+        return (int(sel.start), int(sel.stop)), sel, n
+    idx = np.asarray(rows, dtype=np.int64)
+    hit = interned.get(idx.tobytes()) if idx.ndim == 1 else None
+    if hit is None:
+        blk._rows(idx)
+        hit = interned[idx.tobytes()] = _index_selector(idx, len(interned))
+    return hit
+
+
+def _row_map_selector(interned: Dict[Hashable, Any], row_map: np.ndarray,
+                      blk: "MemoryBlock") -> Tuple[Hashable, Any]:
+    """Validate a GATHER row map (1-D, shape already checked) once per
+    plan, like :func:`_row_selector`; return its key and selector."""
+    hit = interned.get(row_map.tobytes())
+    if hit is None:
+        if row_map.size and (
+            np.any(row_map < 0) or np.any(row_map >= blk.rows)
+        ):
+            raise IndexError("row_map entry outside block")
+        hit = interned[row_map.tobytes()] = _index_selector(
+            row_map, len(interned))
+    return hit[0], hit[1]
+
+
+def _index_selector(idx: np.ndarray, key: int) -> Tuple[Hashable, Any, int]:
+    """``(key, selector, count)`` of a valid 1-D row index array: a
+    read-only copy, keyed by the integer ``key``."""
+    arr = idx.copy()
+    arr.flags.writeable = False
+    return key, arr, idx.size
+
+
+def _block_selector(interned: Dict[Hashable, Any],
+                    local_ids: Tuple[int, ...]) -> Tuple[Any, Any]:
+    """Tile-array selectors of a block set: the interned ``(k,)`` index
+    array and its ``(k, 1)`` column form, which broadcasts against a row
+    index array."""
+    hit = interned.get(local_ids)
+    if hit is None:
+        flat = np.array(local_ids, dtype=np.intp)
+        flat.flags.writeable = False
+        hit = interned[local_ids] = (flat, flat[:, None])
+    return hit
+
+
+def _lockstep_call(arr: np.ndarray, flat: Any, column: Any,
+                   entries: List[Tuple[int, Tuple[Any, ...], Any, Any]]
+                   ) -> Tuple[Any, ...]:
+    """One program entry running ``entries`` — one op per block, all with
+    the same signature — as a single numpy call on ``arr``.
+
+    ``arr`` is a tile array indexed by the block selectors ``flat`` /
+    ``column`` (:func:`_block_selector`), or one block's 2-D view when
+    ``flat`` is None.  Every index selects a ``(blocks, rows)`` plane of
+    one word column (a ``rows`` vector for one block), the same shape on
+    both sides of the assignment.
+    """
+    _, (_, code, _, dst_col, src_col, other), rsel, extra = entries[0]
+
+    def at(r: Any, col: int) -> Tuple[Any, ...]:
+        if flat is None:
+            return (r, col)
+        return (flat, r, col) if isinstance(r, slice) else (column, r, col)
+
+    dst = at(rsel, dst_col)
+    if code == _BROADCAST_ID:
+        if flat is None:
+            value = extra
+        elif other == 0:
+            value = np.array([e[3] for e in entries], dtype=np.float32)[:, None]
+        else:
+            value = np.stack([e[3] for e in entries])
+        return (APPLY_FILL, arr, dst, value)
+    if code == _GATHER_ID:
+        return (APPLY_MOVE, arr, dst, at(extra, src_col))
+    if code == _COPY_ID:
+        return (APPLY_MOVE, arr, dst, at(rsel, src_col))
+    return (APPLY_UFUNC, arr, dst, _APPLY_UFUNCS[code], at(rsel, src_col),
+            at(rsel, other))
 
 
 class _TransferStep:
@@ -420,6 +505,7 @@ class ExecutionPlan:
     __slots__ = (
         "instructions", "array", "tags", "steps", "routing_epoch",
         "chip_name", "replays", "schedule_stats", "flip_cache",
+        "apply_chip", "interned",
     )
 
     def __init__(self, instructions: List[Instruction], array: np.ndarray,
@@ -442,6 +528,20 @@ class ExecutionPlan:
         #: memoized flip-draw inputs: ``(flip_rate, eligible indices,
         #: per-instruction hit probabilities, eligible row counts)``.
         self.flip_cache: Optional[Tuple[Any, ...]] = None
+        #: the chip whose tile arrays the segments' lockstep programs
+        #: index, and the index arrays they share (see
+        #: :meth:`_VecSegment.build_apply`).
+        self.apply_chip: Optional["PimChip"] = None
+        self.interned: Dict[Hashable, Any] = {}
+
+    def reset_apply(self, chip: "PimChip") -> None:
+        """Drop every lockstep program; the next functional replay builds
+        them for ``chip``."""
+        for kind, payload in self.steps:
+            if kind == STEP_SEGMENT:
+                payload.apply = None
+        self.apply_chip = chip
+        self.interned = {}
 
     @property
     def n_instructions(self) -> int:

@@ -3,9 +3,19 @@
 Blocks are materialized lazily — a functional simulation of a small
 problem touches only a handful of blocks, while the analytic timing path
 never allocates block storage at all.
+
+Every block of a tile stores its words in one shared
+``(blocks_per_tile, rows, row_words)`` float32 array, :attr:`Tile.data`,
+and each :class:`~repro.pim.block.MemoryBlock`'s ``data`` is a view of
+its slice.  Functional plan replay indexes this array directly to run one
+compute instruction across every block that issues it (the lockstep
+execution of :mod:`repro.pim.plan`), while per-block code — transfers,
+LUT, fault injection, state read-back — keeps using the block views.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.interconnect import Bus, HTree, Interconnect
 from repro.pim.block import MemoryBlock
@@ -32,6 +42,22 @@ class Tile:
         self.n_blocks = config.blocks_per_tile
         self.interconnect = make_interconnect(config.interconnect, self.n_blocks)
         self._blocks: dict = {}
+        self._data: np.ndarray | None = None
+
+    @property
+    def data(self) -> np.ndarray:
+        """Word storage of all blocks, ``(blocks, rows, row_words)`` float32.
+
+        Allocated on first use with ``np.zeros``, whose pages the OS maps
+        only when first written, so untouched blocks and rows cost no
+        memory.  Block ``i``'s ``data`` is ``self.data[i]``.
+        """
+        if self._data is None:
+            self._data = np.zeros(
+                (self.n_blocks, self.config.block_rows, self.config.row_words),
+                dtype=np.float32,
+            )
+        return self._data
 
     def block(self, local_id: int) -> MemoryBlock:
         """The block with tile-local id ``local_id`` (lazily created)."""
@@ -43,6 +69,7 @@ class Tile:
                 rows=self.config.block_rows,
                 row_words=self.config.row_words,
                 block_id=self.tile_id * self.n_blocks + local_id,
+                data=self.data[local_id],
             )
             self._blocks[local_id] = blk
         return blk

@@ -231,6 +231,52 @@ class TestBitIdentity:
         # functional path: the assembled global state
         assert np.array_equal(sx.read_state(), ref_state)
 
+    def test_split_run_steps_match_one_call(self):
+        """Stepping in three calls equals stepping in one: the exchange
+        after a call's last stage is carried into the next call, not
+        dropped (which used to leave the next call on stale ghosts)."""
+        from repro.dg import AcousticOperator, cfl_timestep
+        from repro.dg.timestepping import LSRK45
+
+        mesh = HexMesh.from_refinement_level(1)
+        elem = ReferenceElement(2)
+        factory, g = _factory("acoustic1", "riemann", mesh, elem)
+        mat = AcousticMaterial.homogeneous(mesh.n_elements)
+        dt = cfl_timestep(mesh.h, mat.max_speed, 2, cfl=0.3)
+        state = _state(mesh, elem, 4, seed=2)
+
+        runs = []
+        for calls, steps in ((3, 1), (1, 3)):
+            sx = ShardedExecutor(mesh, CHIP, factory, n_shards=2)
+            sx.setup(state)
+            results = [sx.run_steps(dt, n_steps=steps) for _ in range(calls)]
+            runs.append((sum(r.n_exchanges for r in results),
+                         [sh.executor.now() for sh in sx.shards],
+                         sx.state_digests(), sx.read_state()))
+        (n_split, clocks_split, dig_split, got), (n_one, clocks_one,
+                                                  dig_one, _) = runs
+        assert n_split == n_one == (3 * LSRK45.n_stages - 1) * len(
+            partition_mesh(mesh, 2).exchanges)
+        assert clocks_split == clocks_one
+        assert dig_split == dig_one
+
+        ref = state.astype(np.float64)
+        aux = np.zeros_like(ref)
+        stepper = LSRK45(AcousticOperator(mesh, mat, elem, flux="riemann").rhs)
+        for _ in range(3):
+            stepper.step(ref, 0.0, dt, aux)
+        assert np.abs(got - ref).max() / np.abs(ref).max() < 1e-5
+
+        # setup() reloads the halos, so it drops a carried exchange
+        sx = ShardedExecutor(mesh, CHIP, factory, n_shards=2)
+        sx.setup(state)
+        sx.run_steps(dt, n_steps=1)
+        sx.setup(state)
+        fresh = ShardedExecutor(mesh, CHIP, factory, n_shards=2)
+        fresh.setup(state)
+        assert (sx.run_steps(dt, n_steps=1).n_exchanges
+                == fresh.run_steps(dt, n_steps=1).n_exchanges)
+
     def test_threaded_replay_matches_sequential(self):
         mesh = HexMesh.from_refinement_level(1)
         elem = ReferenceElement(1)

@@ -18,6 +18,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.programs import build_check_program
 from repro.pim.chip import PimChip
@@ -437,7 +439,9 @@ class TestFoldArray:
 
 
 class TestLintRules:
-    """The repo lint rejects dispatch loops (RL004) and _dispatch leaks (RL005)."""
+    """The repo lint rejects dispatch loops (RL004), _dispatch leaks (RL005),
+    silent broad excepts (RL007), plan-replay internals outside the
+    executors (RL008) and rebinding of block storage (RL009)."""
 
     @staticmethod
     def _lint(tmp_path, rel, source):
@@ -533,6 +537,42 @@ class TestLintRules:
                            "        log.warning('g failed')\n")
         assert "RL007" not in codes
 
+    def test_flags_plan_replay_internals_outside_executors(self, tmp_path):
+        codes = self._lint(tmp_path, "src/repro/core/bad.py",
+                           "def f(ex, plan, rep):\n"
+                           "    ex._run_plan(plan, True, False, rep)\n")
+        assert "RL008" in codes
+        codes = self._lint(tmp_path, "src/repro/pim/multichip.py",
+                           "def f(ex, plan, rep):\n"
+                           "    ex._run_plan(plan, True, False, rep)\n")
+        assert "RL008" not in codes
+
+    @pytest.mark.parametrize("stmt", [
+        "blk.data = arr",
+        "blk.data += 1.0",
+        "blk.data: object = arr",
+        "blk.data, other = arr, None",
+        "setattr(blk, 'data', arr)",
+        "del blk.data",
+    ])
+    def test_flags_block_data_rebind(self, tmp_path, stmt):
+        codes = self._lint(tmp_path, "src/repro/core/bad.py",
+                           f"def f(blk, arr):\n    {stmt}\n")
+        assert "RL009" in codes
+
+    def test_allows_writes_through_block_view(self, tmp_path):
+        codes = self._lint(tmp_path, "src/repro/core/ok.py",
+                           "def f(blk, arr):\n"
+                           "    blk.data[:, 0] = arr\n"
+                           "    blk.data[1:3] += 1.0\n"
+                           "    return blk.data.copy()\n")
+        assert "RL009" not in codes
+        codes = self._lint(tmp_path, "src/repro/pim/block.py",
+                           "class MemoryBlock:\n"
+                           "    def __init__(self, data):\n"
+                           "        self.data = data\n")
+        assert "RL009" not in codes
+
 
 class TestRouteTable:
     def test_matches_inline_resolution(self):
@@ -580,3 +620,277 @@ class TestLowerProgramDirect:
                            rows=(0, 4), words=1)]
         with pytest.raises(ValueError):
             lower_program(chip, ex.costs, bad)
+
+
+# --------------------------------------------------------------------- #
+# lockstep functional replay: randomized differential test vs serial
+# --------------------------------------------------------------------- #
+
+#: the random ops stay inside the first LS_ROWS rows and LS_COLS word
+#: columns of each block, so destinations and sources collide often.
+LS_ROWS = 12
+LS_COLS = 4
+_LS_OPS = (Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.COPY, Opcode.GATHER,
+           Opcode.BROADCAST)
+
+
+def _lockstep_chip():
+    """Three tiles of four 16-row blocks: streams span tiles, and groups
+    of one block (its 2-D view) and of several (the tile array) occur."""
+    from repro.pim.params import ChipConfig
+
+    block_bytes = 16 * 1024 // 8
+    return PimChip(ChipConfig(name="lockstep-test",
+                              capacity_bytes=3 * 4 * block_bytes,
+                              block_rows=16, blocks_per_tile=4))
+
+
+def _ls_rows():
+    """Row selectors: ``(start, stop)`` ranges, evenly spaced index arrays
+    and arbitrary index arrays without repeats (a repeated destination
+    row leaves the result to numpy's write order)."""
+    ranges = st.integers(0, LS_ROWS).flatmap(
+        lambda r0: st.tuples(st.just(r0), st.integers(r0, LS_ROWS)))
+    spaced = st.tuples(st.integers(0, LS_ROWS - 1), st.integers(1, 4),
+                       st.integers(1, 4)).map(
+        lambda t: np.arange(t[0], LS_ROWS, t[1])[:t[2]])
+    arbitrary = st.lists(st.integers(0, LS_ROWS - 1), min_size=1,
+                         max_size=LS_ROWS, unique=True).map(np.array)
+    return st.one_of(ranges, spaced, arbitrary)
+
+
+def _n_rows(rows):
+    return rows[1] - rows[0] if isinstance(rows, tuple) else len(rows)
+
+
+def _ls_shape():
+    """One op shape ``(opcode, rows, dst, src1, src2, row_map)``."""
+    col = st.integers(0, LS_COLS - 1)
+
+    def with_map(t):
+        n = _n_rows(t[1])
+        rmap = (st.lists(st.integers(0, LS_ROWS - 1), min_size=n, max_size=n)
+                .map(np.array) if t[0] is Opcode.GATHER else st.none())
+        return rmap.map(lambda m: t + (m,))
+
+    return st.tuples(st.sampled_from(_LS_OPS), _ls_rows(), col, col,
+                     col).flatmap(with_map)
+
+
+def _ls_instruction(block, shape, value):
+    from repro.pim.isa import Instruction
+
+    op, rows, dst, src1, src2, row_map = shape
+    if op is Opcode.BROADCAST:
+        return Instruction(op, block=block, rows=rows, dst=dst, value=value,
+                           tag="volume")
+    if op is Opcode.GATHER:
+        return Instruction(op, block=block, rows=rows, dst=dst, src1=src1,
+                           row_map=row_map, tag="flux")
+    if op is Opcode.COPY:
+        return Instruction(op, block=block, rows=rows, dst=dst, src1=src1,
+                           tag="flux")
+    return Instruction(op, block=block, rows=rows, dst=dst, src1=src1,
+                       src2=src2, tag="integration")
+
+
+@st.composite
+def _lockstep_streams(draw):
+    """``(blocks, stream, seed)``: one or two compute segments whose blocks
+    run windows of one shared template, so many ops line up across blocks,
+    with per-block divergences, unequal lengths and out-of-step starts,
+    interleaved in a random order."""
+    from repro.pim.isa import barrier
+
+    cfg = _lockstep_chip().config
+    per_tile = cfg.blocks_per_tile
+    blocks = draw(st.lists(st.integers(0, cfg.n_blocks - 1), min_size=3,
+                           max_size=8, unique=True)
+                  .filter(lambda bs: len({b // per_tile for b in bs}) >= 2))
+    template = draw(st.lists(_ls_shape(), min_size=1, max_size=8))
+    f32 = st.floats(-1.0, 1.0, width=32)
+    per_block = []
+    for b in blocks:
+        start = draw(st.integers(0, min(2, len(template) - 1)))
+        stop = draw(st.integers(start + 1, len(template)))
+        ops = []
+        for shape in template[start:stop]:
+            if draw(st.integers(0, 9)) == 0:  # diverge from the other blocks
+                shape = draw(_ls_shape())
+            value = None
+            if shape[0] is Opcode.BROADCAST:
+                n = _n_rows(shape[1])
+                value = draw(st.one_of(
+                    f32, st.lists(f32, min_size=n, max_size=n)
+                    .map(lambda v: np.array(v, dtype=np.float32))))
+            ops.append(_ls_instruction(b, shape, value))
+        per_block.append(ops)
+    order = draw(st.permutations(
+        [k for k, ops in enumerate(per_block) for _ in ops]))
+    cursor = [0] * len(per_block)
+    stream = []
+    for k in order:
+        stream.append(per_block[k][cursor[k]])
+        cursor[k] += 1
+    split = draw(st.integers(0, len(stream)))
+    if split and draw(st.booleans()):  # a BARRIER ends the first segment
+        stream.insert(split, barrier())
+    return blocks, stream, draw(st.integers(0, 2**16))
+
+
+def _ls_load(chip, blocks, seed):
+    rng = np.random.default_rng(seed)
+    for b in blocks:
+        chip.block(b).data[:LS_ROWS, :LS_COLS] = rng.uniform(
+            -1.0, 1.0, (LS_ROWS, LS_COLS))
+
+
+def _ls_digests(chip, blocks):
+    return [hashlib.sha256(chip.block(b).data.tobytes()).hexdigest()
+            for b in blocks]
+
+
+def _ls_check(blocks, stream, seed):
+    """Plan replay (twice: build, then the cached program) == serial."""
+    chip_s, chip_p = _lockstep_chip(), _lockstep_chip()
+    for chip in (chip_s, chip_p):
+        _ls_load(chip, blocks, seed)
+    ex_s, ex_p = ChipExecutor(chip_s), ChipExecutor(chip_p)
+    plan = ex_p.lower(stream)
+    for rep in range(2):
+        serial = ex_s.run(stream, functional=True, serial=True)
+        replay = ex_p.run(plan, functional=True)
+        _assert_reports_identical(serial, replay, f"lockstep replay {rep}")
+        assert _ls_digests(chip_p, blocks) == _ls_digests(chip_s, blocks)
+
+
+class TestLockstepDifferential:
+    """Lockstep plan replay (one numpy call per group of blocks issuing
+    the same op) is bit-identical to serial dispatch on random streams."""
+
+    @given(_lockstep_streams())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_serial_on_random_streams(self, case):
+        _ls_check(*case)
+
+    @pytest.mark.parametrize("blocks", [[0, 1, 2], [2, 0, 3], [5, 1, 3, 9]])
+    def test_broadcast_values_stack_per_block(self, blocks):
+        """Each block of a group gets its own BROADCAST scalar or vector,
+        for range and index-array row selectors, on one tile and across
+        tiles."""
+        from repro.pim.isa import Instruction
+
+        rng = np.random.default_rng(len(blocks))
+        stream = []
+        for rows in ((1, 5), np.array([7, 2, 9, 4])):
+            for dst in (0, 1):
+                for b in blocks:
+                    value = (np.float32(rng.uniform(-1, 1)) if dst == 0 else
+                             rng.uniform(-1, 1, 4).astype(np.float32))
+                    stream.append(Instruction(Opcode.BROADCAST, block=b,
+                                              rows=rows, dst=dst, value=value))
+        _ls_check(blocks, stream, seed=1)
+
+    def test_plan_replayed_on_another_chip_writes_that_chip(self):
+        """Lockstep programs index one chip's tile arrays; replaying the
+        plan through another chip's executor rebuilds them for it."""
+        from repro.pim.isa import Instruction
+
+        blocks = [0, 1, 5]
+        stream = [Instruction(Opcode.ADD, block=b, rows=(0, 8), dst=2,
+                              src1=0, src2=1) for b in blocks]
+        chip_s, chip_a, chip_b = (_lockstep_chip() for _ in range(3))
+        for chip in (chip_s, chip_a, chip_b):
+            _ls_load(chip, blocks, seed=3)
+        ChipExecutor(chip_s).run(stream, functional=True, serial=True)
+        plan = ChipExecutor(chip_a).lower(stream)
+        ChipExecutor(chip_a).run(plan, functional=True)
+        ChipExecutor(chip_b).run(plan, functional=True)
+        assert _ls_digests(chip_a, blocks) == _ls_digests(chip_s, blocks)
+        assert _ls_digests(chip_b, blocks) == _ls_digests(chip_s, blocks)
+
+    @given(_lockstep_streams(), st.integers(0, 5), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_out_of_bounds_op_raises_before_any_block_changes(
+            self, case, which, data):
+        from repro.pim.isa import Instruction
+
+        blocks, stream, seed = case
+        chip = _lockstep_chip()
+        rows, words = chip.config.block_rows, chip.config.row_words
+        b = data.draw(st.sampled_from(blocks))
+        bad = [
+            Instruction(Opcode.ADD, block=b, rows=(rows - 1, rows + 1), dst=0,
+                        src1=1, src2=2),
+            Instruction(Opcode.MUL, block=b, rows=(0, 4), dst=0, src1=words,
+                        src2=1),
+            Instruction(Opcode.COPY, block=b, rows=np.array([3, -1]), dst=0,
+                        src1=1),
+            Instruction(Opcode.GATHER, block=b, rows=(0, 2), dst=0, src1=1,
+                        row_map=np.array([0, rows])),
+            Instruction(Opcode.GATHER, block=b, rows=(0, 2), dst=0, src1=1,
+                        row_map=np.array([0])),
+            Instruction(Opcode.BROADCAST, block=b, rows=(0, 3), dst=1,
+                        value=np.zeros(2, np.float32)),
+        ][which]
+        stream = [i for i in stream if i.op is not Opcode.BARRIER]
+        stream.insert(data.draw(st.integers(0, len(stream))), bad)
+        _ls_load(chip, blocks, seed)
+        before = _ls_digests(chip, blocks)
+        with pytest.raises((IndexError, ValueError)):
+            ChipExecutor(chip).run(stream, functional=True)
+        assert _ls_digests(chip, blocks) == before
+
+
+class TestScheduledLockstep:
+    """A scheduled step interleaves every block's ops; one functional
+    replay of it equals serial dispatch of the permuted stream."""
+
+    @pytest.mark.parametrize("physics", ["acoustic", "elastic"])
+    def test_scheduled_step_matches_serial(self, physics):
+        from repro.core.kernels.acoustic import AcousticOneBlockKernels
+        from repro.core.kernels.elastic import ElasticFourBlockKernels
+        from repro.core.mapper import ElementMapper
+        from repro.dg import (
+            AcousticMaterial,
+            ElasticMaterial,
+            HexMesh,
+            ReferenceElement,
+        )
+        from repro.pim.schedule import schedule_plan
+
+        rng = np.random.default_rng(4)
+        mesh = HexMesh.from_refinement_level(1)
+        elem = ReferenceElement(2)
+        n = mesh.n_elements
+        chip_cfg = CHIP_CONFIGS["512MB"]
+        if physics == "acoustic":
+            mat = AcousticMaterial(kappa=rng.uniform(1.0, 2.0, n),
+                                   rho=rng.uniform(0.5, 1.5, n))
+            g, n_vars = 1, 4
+            make = lambda m: AcousticOneBlockKernels(  # noqa: E731
+                mesh, elem, mat, m, flux_kind="riemann")
+        else:
+            mat = ElasticMaterial(lam=rng.uniform(1.0, 2.0, n),
+                                  mu=rng.uniform(0.5, 1.5, n),
+                                  rho=rng.uniform(0.8, 1.2, n))
+            g, n_vars = 4, 9
+            make = lambda m: ElasticFourBlockKernels(  # noqa: E731
+                mesh, elem, mat, m, flux_kind="central")
+        kern = make(ElementMapper(mesh.m, chip_cfg, g))
+        state = (0.1 * rng.standard_normal((n_vars, n, elem.n_nodes))
+                 ).astype(np.float32)
+        chips = [PimChip(chip_cfg), PimChip(chip_cfg)]
+        exs = [ChipExecutor(c) for c in chips]
+        for ex in exs:
+            ex.run(kern.setup() + kern.load_state(state), functional=True)
+        plan = schedule_plan(exs[0], exs[0].lower(kern.time_step(1e-4)))
+        assert plan.schedule_stats["kept"]  # really interleaved
+        exs[0].reset_clocks()
+        exs[1].reset_clocks()
+        replay = exs[0].run(plan, functional=True)
+        serial = exs[1].run(plan.instructions, functional=True, serial=True)
+        assert _state_digest(chips[0]) == _state_digest(chips[1])
+        assert replay.total_time_s == serial.total_time_s
+        assert replay.dynamic_energy_j == serial.dynamic_energy_j
+        assert dict(replay.time_by_tag) == dict(serial.time_by_tag)
