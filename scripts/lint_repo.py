@@ -47,7 +47,7 @@ Rules (stdlib ``ast`` only, so this runs in the bare container):
            specific exception type also satisfies the rule.
 
 ``RL008``  no direct ``ExecutionPlan`` replay call sites outside the two
-           executors: ``._run_plan`` / ``._run_plan_faulty`` may be
+           executors: ``._run_plan`` may be
            referenced only in ``pim/executor.py`` (the replay engine) and
            ``pim/multichip.py`` (the sharded executor layered on it).
            Mirrors RL005 for the plan path — a third replay call site
@@ -73,6 +73,13 @@ Rules (stdlib ``ast`` only, so this runs in the bare container):
            whose ``data`` was rebound would be detached from it, so replay
            would write memory nobody reads.  Write through the view
            (``blk.data[...] = ...``) instead.
+
+``RL010``  every ``REPRO_[A-Z_]+`` name in a string literal under
+           ``src/`` must be one of the kept environment knobs in
+           ``RL010_KNOBS``.  A knob that switches execution paths doubles
+           the configurations tests must cover, and it can change compile
+           results without entering the compile cache's fingerprint; a
+           new knob has to show up as an edit to that list.
 
 Usage::
 
@@ -116,9 +123,22 @@ RL008_ALLOWED = (
     "src/repro/pim/executor.py",
     "src/repro/pim/multichip.py",
 )
-RL008_ATTRS = ("_run_plan", "_run_plan_faulty")
+RL008_ATTRS = ("_run_plan",)
 
 RL009_ALLOWED = ("src/repro/pim/block.py",)
+
+#: RL010: the environment knobs ``src/`` may name.
+RL010_KNOBS = frozenset({
+    "REPRO_CACHE_DIR",
+    "REPRO_NO_CACHE",
+    "REPRO_JOBS",
+    "REPRO_TRACE",
+    "REPRO_TRACE_FILE",
+    "REPRO_COUNTERS",
+    "REPRO_LOG_LEVEL",
+})
+RL010_SCOPE = "src/"
+RL010_NAME = re.compile(r"\bREPRO_[A-Z_]+")
 
 #: RL006: where finding codes are registered / emitted.
 RL006_REGISTRY = "src/repro/analysis/findings.py"
@@ -264,6 +284,17 @@ def _lint_file(path: Path, root: Path,
                             ".data rebound outside pim/block.py — a block's "
                             "data is a view into its tile array; write "
                             "through it (x.data[...] = ...) instead"))
+
+    # RL010: only the kept REPRO_* knobs may be named in src/
+    if rel.startswith(RL010_SCOPE):
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Constant) and isinstance(node.value, str)):
+                continue
+            for name in sorted(set(RL010_NAME.findall(node.value)) - RL010_KNOBS):
+                out.append((path, node.lineno, "RL010",
+                            f"{name} is not a kept environment knob — add it "
+                            "to RL010_KNOBS in scripts/lint_repo.py if it "
+                            "must exist"))
 
     # RL007: broad except handlers must not swallow silently
     for node in ast.walk(tree):

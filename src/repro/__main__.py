@@ -39,9 +39,7 @@ Commands
 
 Performance knobs: ``--jobs N`` (or ``REPRO_JOBS``) compiles the experiment
 matrix with N worker processes; ``--no-cache`` (or ``REPRO_NO_CACHE=1``)
-bypasses the on-disk compile cache in ``REPRO_CACHE_DIR``; ``REPRO_SCHED=on``
-(or ``bench --schedule``) makespan-schedules every lowered plan
-(see DESIGN.md §13).
+bypasses the on-disk compile cache in ``REPRO_CACHE_DIR``.
 
 Observability knobs: ``--profile`` records a span/metric trace and writes
 it as JSON (plus a Chrome ``trace_event`` sibling) to ``--trace-file`` /
@@ -314,17 +312,12 @@ def _cmd_bench(args) -> int:
     )
 
     t0 = time.perf_counter()
-    if args.schedule:
-        os.environ["REPRO_SCHED"] = "on"
     entry = measure_hot_paths(rounds=args.rounds)
-    shards = args.shards
-    if shards is None and os.environ.get("REPRO_SHARDS"):
-        shards = int(os.environ["REPRO_SHARDS"])
-    if shards:
+    if args.shards:
         from repro.eval.bench import measure_shard_scaling
 
         entry.update(measure_shard_scaling(
-            n_shards=shards, trace_path=args.shard_trace))
+            n_shards=args.shards, trace_path=args.shard_trace))
     doc = append_entry(entry, path=args.json)
 
     def fmt_rate(v):
@@ -806,13 +799,10 @@ def main(argv=None) -> int:
     p.add_argument("--json", default=None, metavar="PATH",
                    help="BENCH_perf.json path to append to (default: the "
                         "repo-root BENCH_perf.json)")
-    p.add_argument("--schedule", action="store_true",
-                   help="enable the makespan scheduler (REPRO_SCHED=on) for "
-                        "every plan lowered during the measurement")
     p.add_argument("--shards", type=int, default=None, metavar="N",
                    help="also measure N-shard scaling of the capacity-axis "
                         "step workload vs the single-chip batched baseline "
-                        "(REPRO_SHARDS env var sets the same; CI uses 4)")
+                        "(CI uses 4)")
     p.add_argument("--shard-trace", default=None, metavar="PATH",
                    help="with --shards: write the merged multi-chip Gantt "
                         "trace (per-shard lanes + inter-chip links) to PATH")

@@ -91,6 +91,8 @@ FINDING_CODES: Dict[str, str] = {
              "outside ChipExecutor/ShardedExecutor",
     "RL009": "MemoryBlock.data rebound outside pim/block.py (detaches the "
              "block from its tile array, which lockstep replay writes)",
+    "RL010": "REPRO_* environment knob named in src/ that is not one of the "
+             "kept knobs (scripts/lint_repo.py RL010_KNOBS)",
 }
 
 

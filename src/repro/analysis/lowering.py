@@ -24,7 +24,7 @@ from typing import List, Sequence
 from repro.analysis.checker import CheckContext
 from repro.analysis.findings import ERROR, Finding
 from repro.pim.isa import Instruction, Opcode
-from repro.pim.plan import OP_IDS, STEP_TRANSFER, lower_program
+from repro.pim.plan import OP_IDS, STEP_TRANSFER
 
 __all__ = ["LoweringPass"]
 
@@ -121,7 +121,7 @@ class LoweringPass:
         # this stream must respect every RAW/WAW/WAR edge, the host/DRAM
         # chains and each BARRIER fence (repro.pim.schedule recomputes the
         # DAG and re-runs the list scheduler here, so the audit covers the
-        # exact order a `--schedule` run would replay).
+        # exact order a schedule_plan caller would replay).
         try:
             from repro.pim.schedule import audit_reorder
 

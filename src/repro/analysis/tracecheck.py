@@ -1,19 +1,15 @@
 """Trace-document validation (the observability side of ``repro check``).
 
 The span-tree and Chrome ``trace_event`` validators used by CI's profiled
-runs.  This module owns the logic; ``scripts/validate_trace.py`` is a thin
-command-line wrapper around :func:`main` kept for back-compat with
-existing CI invocations, and the ``repro check --trace`` path calls
-:func:`validate_trace_file` directly.
+runs.  ``python -m repro check --trace FILE`` is the command line;
+it calls :func:`validate_trace_file`.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Set, Union
+from typing import Iterable, List, Sequence, Set, Union
 
 from repro.obs.timeline import COUNTERS_PID
 
@@ -24,7 +20,6 @@ __all__ = [
     "validate_chrome",
     "validate_counters",
     "validate_trace_file",
-    "main",
 ]
 
 EXPECTED_SCHEMA = 1
@@ -171,13 +166,12 @@ def validate_counters(doc: object, chrome_doc: object) -> List[str]:
 def validate_trace_file(
     path: Union[str, Path],
     require: Sequence[str] = (),
-    check_chrome: bool = True,
     require_counters: bool = False,
 ) -> List[str]:
     """Validate a trace file on disk (and its Chrome sibling); never raises.
 
     ``require_counters`` additionally demands hardware-counter evidence
-    (:func:`validate_counters`) and implies loading the Chrome sibling.
+    (:func:`validate_counters`).
     """
     path = Path(path)
     try:
@@ -185,55 +179,17 @@ def validate_trace_file(
     except (OSError, ValueError) as exc:
         return [f"cannot read {path}: {exc}"]
     errors = validate(doc, require=require)
-    if check_chrome or require_counters:
-        chrome_path = path.with_name(path.stem + ".chrome.json")
-        if not chrome_path.exists():
-            errors.append(f"missing Chrome export {chrome_path}")
-        else:
-            try:
-                chrome_doc = json.loads(chrome_path.read_text())
-            except (OSError, ValueError) as exc:
-                errors.append(f"cannot read {chrome_path}: {exc}")
-            else:
-                if check_chrome:
-                    errors.extend(validate_chrome(chrome_doc))
-                if require_counters:
-                    errors.extend(validate_counters(doc, chrome_doc))
+    chrome_path = path.with_name(path.stem + ".chrome.json")
+    if not chrome_path.exists():
+        errors.append(f"missing Chrome export {chrome_path}")
+        return errors
+    try:
+        chrome_doc = json.loads(chrome_path.read_text())
+    except (OSError, ValueError) as exc:
+        errors.append(f"cannot read {chrome_path}: {exc}")
+        return errors
+    errors.extend(validate_chrome(chrome_doc))
+    if require_counters:
+        errors.extend(validate_counters(doc, chrome_doc))
     return errors
 
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Validate a trace written by python -m repro run --profile"
-    )
-    parser.add_argument("trace", help="path to the JSON trace document")
-    parser.add_argument("--require", action="append", default=[],
-                        metavar="TOKEN",
-                        help="fail unless some span name contains TOKEN "
-                             "(repeatable)")
-    parser.add_argument("--no-chrome", action="store_true",
-                        help="skip validating the .chrome.json sibling")
-    parser.add_argument("--counters", action="store_true",
-                        help="require hardware-counter evidence: counters.* "
-                             "metrics plus the Gantt tracks in the Chrome "
-                             "sibling (a --counters/REPRO_COUNTERS=1 run)")
-    args = parser.parse_args(argv)
-
-    path = Path(args.trace)
-    if not path.exists():
-        print(f"FAIL: cannot read {path}: no such file", file=sys.stderr)
-        return 2
-    errors = validate_trace_file(path, require=args.require,
-                                 check_chrome=not args.no_chrome,
-                                 require_counters=args.counters)
-    if errors:
-        for err in errors:
-            print(f"FAIL: {err}", file=sys.stderr)
-        return 1
-    n = len(json.loads(path.read_text()).get("spans", []))
-    print(f"OK: {path} valid ({n} root span{'s' if n != 1 else ''})")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via the wrapper
-    sys.exit(main())

@@ -18,7 +18,7 @@ The result feeds :mod:`repro.core.runtime` for end-to-end time/energy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +36,6 @@ from repro.dg.reference_element import ReferenceElement
 from repro.pim.chip import PimChip
 from repro.pim.executor import ChipExecutor
 from repro.pim.isa import Opcode
-from repro.pim.plan import plan_enabled
-from repro.pim.schedule import schedule_enabled, schedule_plan
 from repro.pim.params import ChipConfig
 
 __all__ = ["WavePimCompiler", "CompiledBenchmark"]
@@ -239,25 +237,13 @@ class WavePimCompiler:
         chip_model = PimChip(chip)
         emitted = 0
 
-        use_plan = plan_enabled()
-        use_sched = use_plan and schedule_enabled()
-
         def run(insts, label):
             nonlocal emitted
             emitted += len(insts)
             with tracer.span(f"compile/{label}", instructions=len(insts)):
-                ex = ChipExecutor(chip_model)
-                if use_plan:
-                    # lower + vectorized replay; bit-identical to serial
-                    # dispatch (REPRO_PLAN=off restores the audit path).
-                    lowered = ex.lower(insts)
-                    if use_sched:
-                        # REPRO_SCHED: makespan-schedule the lowered plan
-                        # (best-of: never worse than emission order).
-                        lowered = schedule_plan(ex, lowered)
-                        ex.reset_clocks()
-                    return ex.run(lowered, functional=False)
-                return ex.run(insts, functional=False, serial=True)
+                # lowered and replayed in emission order, the order the
+                # paper's lane times are priced in.
+                return ChipExecutor(chip_model).run(insts, functional=False)
 
         # -- lane times from representative streams ----------------------- #
         vol = run(kern.volume(elements=rep), "volume_kernel")

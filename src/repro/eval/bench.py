@@ -112,41 +112,26 @@ def measure_hot_paths(rounds: int = 3) -> dict:
     def compile_once():
         WavePimCompiler(order=3).compile("acoustic", 2, CHIP_CONFIGS["512MB"])
 
-    # compile_s tracks the *default* compiler configuration: pin the
-    # opt-in scheduler pass off for the timed region so ``--schedule``
-    # (REPRO_SCHED=on) does not fold its extra DAG/list-scheduling wall
-    # time into the seed-baseline comparison — the scheduler's own win is
-    # reported separately as modeled makespan below.
-    import os
+    emitted0 = metrics.value("compiler.instructions_emitted")
+    compiles0 = metrics.value("compiler.compiles")
+    compile_s = best_of(compile_once, rounds)
+    # Instructions are only emitted by *uncached* compiles, so normalize
+    # by the number of compiles that actually ran rather than by rounds.
+    emitted = metrics.value("compiler.instructions_emitted") - emitted0
+    compiles = metrics.value("compiler.compiles") - compiles0
+    instructions_emitted = emitted // compiles if compiles else None
 
-    sched_env = os.environ.get("REPRO_SCHED")
-    os.environ["REPRO_SCHED"] = "off"
-    try:
-        emitted0 = metrics.value("compiler.instructions_emitted")
-        compiles0 = metrics.value("compiler.compiles")
-        compile_s = best_of(compile_once, rounds)
-        # Instructions are only emitted by *uncached* compiles, so normalize
-        # by the number of compiles that actually ran rather than by rounds.
-        emitted = metrics.value("compiler.instructions_emitted") - emitted0
-        compiles = metrics.value("compiler.compiles") - compiles0
-        instructions_emitted = emitted // compiles if compiles else None
-
-        # The timed compiles above deliberately bypass the cache (they
-        # measure the compiler); the hit rate comes from a dedicated
-        # fresh-dir cache exercised with one cold and one warm compile, read
-        # off its own CacheStats instead of the process-global counters.
-        with tempfile.TemporaryDirectory() as tmp:
-            cc = CompileCache(root=tmp, enabled=True)
-            compiler = WavePimCompiler(order=3)
-            for _ in range(2):
-                compiler.compile("acoustic", 2, CHIP_CONFIGS["512MB"], cache=cc)
-            accesses = cc.stats.hits + cc.stats.misses
-            cache_hit_rate = cc.stats.hits / accesses if accesses else None
-    finally:
-        if sched_env is None:
-            os.environ.pop("REPRO_SCHED", None)
-        else:
-            os.environ["REPRO_SCHED"] = sched_env
+    # The timed compiles above deliberately bypass the cache (they
+    # measure the compiler); the hit rate comes from a dedicated
+    # fresh-dir cache exercised with one cold and one warm compile, read
+    # off its own CacheStats instead of the process-global counters.
+    with tempfile.TemporaryDirectory() as tmp:
+        cc = CompileCache(root=tmp, enabled=True)
+        compiler = WavePimCompiler(order=3)
+        for _ in range(2):
+            compiler.compile("acoustic", 2, CHIP_CONFIGS["512MB"], cache=cc)
+        accesses = cc.stats.hits + cc.stats.misses
+        cache_hit_rate = cc.stats.hits / accesses if accesses else None
 
     mesh = HexMesh.from_refinement_level(1)
     elem = ReferenceElement(2)

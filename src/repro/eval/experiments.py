@@ -692,8 +692,8 @@ def plan_throughput(order: int = 2, level: int = 1, rounds: int = 3) -> Table:
     An extension beyond the paper's figures: the simulator's own timing
     engine run over the same compiled acoustic time-step stream as
     per-instruction serial dispatch (the audit reference), as the lowered
-    :class:`~repro.pim.plan.ExecutionPlan` warm replay (the universal
-    path), and as the makespan-scheduled plan — plus the one-time lowering
+    :class:`~repro.pim.plan.ExecutionPlan` warm replay (the path every
+    fault-free run takes), and as the makespan-scheduled plan — plus the one-time lowering
     and scheduling costs.  The serial and plan TimingReports are asserted
     equal before anything is tabulated, so every speedup row is also a
     bit-identity witness; the scheduled row additionally reports the

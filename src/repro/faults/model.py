@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
@@ -315,46 +315,6 @@ class FaultModel:
         off = int(self._flip_rng.integers(0, n_rows))
         bit = int(self._flip_rng.integers(0, 32))
         return off, bit
-
-    def draw_flips(self, ps: np.ndarray, n_rows: np.ndarray) -> Dict[int, Tuple[int, int]]:
-        """Batch :meth:`draw_flip` over a whole instruction stream.
-
-        ``ps[k]`` is the per-instruction hit probability (the exact float
-        :meth:`draw_flip` would compute) and ``n_rows[k]`` the row count of
-        the ``k``-th flip-eligible instruction, in stream order.  Returns
-        ``{k: (row offset, bit)}`` for the instructions that drew a flip.
-
-        Bit-identical to ``k`` sequential scalar draws: PCG64 vector draws
-        consume the identical stream as repeated scalar calls, so misses
-        are drawn in one chunked ``random(m)``; on a hit the generator
-        state is rewound to the chunk start, replayed up to the hit (so the
-        two ``integers`` draws see the exact post-hit state), and drawing
-        resumes after it.
-        """
-        out: Dict[int, Tuple[int, int]] = {}
-        n = len(ps)
-        if n == 0 or self.config.flip_rate <= 0.0:
-            return out
-        rng = self._flip_rng
-        i = 0
-        while i < n:
-            state = rng.bit_generator.state
-            u = rng.random(n - i)
-            hits = np.flatnonzero(u < ps[i:])
-            if hits.size == 0:
-                break
-            j = int(hits[0])
-            # rewind and re-consume up to (and including) the hit draw, so
-            # the integers() calls below read the same stream position the
-            # scalar path would.
-            rng.bit_generator.state = state
-            rng.random(j + 1)
-            k = i + j
-            off = int(rng.integers(0, int(n_rows[k])))
-            bit = int(rng.integers(0, 32))
-            out[k] = (off, bit)
-            i = k + 1
-        return out
 
     # -- interconnect faults --------------------------------------------- #
 

@@ -107,7 +107,7 @@ class HardwareCounters:
     def __init__(self, timeline: bool = True):
         self.timeline = timeline
         #: raw compute records ``(block, start_s, end_s, nors, ops)``
-        #: (serial / fault-mode paths).
+        #: (serial dispatch, fault-injecting runs included).
         self.compute_log: List[tuple] = []
         #: raw transfer records
         #: ``(keys, ready_s, per_link_busy_s, flits, hops, n_bytes, queue_s)``,
@@ -182,7 +182,7 @@ class HardwareCounters:
         """Drain the raw logs into the aggregates (incremental, idempotent).
 
         Eager tuples come from the :meth:`compute`/:meth:`transfer` methods
-        (serial, fault and scheduler paths); *deferred* records come from
+        (serial dispatch and the scheduler); *deferred* records come from
         the executor's replay loop, which keeps its hot path at one bare
         append per site:
 
@@ -192,9 +192,9 @@ class HardwareCounters:
           consuming the starts in order, recomputing each end clock as
           ``fold(start, durs)`` — the very left-fold the replay used — so
           intervals stay bit-identical;
-        * transfer: ``(step, ready, ready0)`` 3-tuples — fault-free
-          transfers only; the step object carries ``keys``/``exclusive``/
-          ``read_t``/``wire``/``flit_train``/``flits``/``hops``/``n_bytes``.
+        * transfer: ``(step, ready, ready0)`` 3-tuples; the step object
+          carries ``keys``/``exclusive``/``read_t``/``wire``/
+          ``flit_train``/``flits``/``hops``/``n_bytes``.
         """
         plog = self.plan_log
         if self._done_plan < len(plog):

@@ -6,8 +6,8 @@ Three views of one recording:
   for stderr after ``--profile`` runs;
 * :func:`build_document` / :func:`write_trace` — the canonical JSON schema
   (``{"schema": 1, "kind": "repro-trace", "spans": [...], "metrics":
-  {...}}``), written to ``REPRO_TRACE_FILE``; ``scripts/validate_trace.py``
-  checks it in CI;
+  {...}}``), written to ``REPRO_TRACE_FILE``; ``python -m repro check
+  --trace`` checks it in CI;
 * :func:`chrome_trace` — the Chrome ``trace_event`` array format, loadable
   in ``chrome://tracing`` or https://ui.perfetto.dev.  Spans may smuggle
   extra pre-built events through a ``chrome_events`` attribute (the Fig. 13

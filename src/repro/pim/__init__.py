@@ -29,7 +29,7 @@ from repro.pim.lut import LookupTable
 from repro.pim.hbm import HbmModel
 from repro.pim.tile import Tile
 from repro.pim.chip import PimChip
-from repro.pim.executor import BlockExecutor, ChipExecutor, TimingReport
+from repro.pim.executor import ChipExecutor, TimingReport
 from repro.pim.energy import EnergyAccount, chip_power_table
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "HbmModel",
     "Tile",
     "PimChip",
-    "BlockExecutor",
     "ChipExecutor",
     "TimingReport",
     "EnergyAccount",

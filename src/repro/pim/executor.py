@@ -17,16 +17,18 @@ With ``functional=True`` instructions also update the blocks' word
 contents, which is how the tests prove the PIM-mapped wave kernels compute
 the same numbers as the numpy dG reference.
 
-Every run executes through an :class:`~repro.pim.plan.ExecutionPlan` —
-raw streams are lowered on entry, and functional and fault-injecting runs
-replay the plan bit-identically to per-instruction dispatch (DESIGN.md
-§13).  ``serial=True`` keeps the original per-instruction dispatcher as
-the audit reference the plan path is verified against.
+There are two engines.  Fault-free runs replay an
+:class:`~repro.pim.plan.ExecutionPlan` — raw streams are lowered on entry
+— bit-identically to per-instruction dispatch (DESIGN.md §13).  The
+per-instruction dispatcher is the reference the plan path is verified
+against (``serial=True``), and it also runs every stream with an enabled
+fault model: fault overheads move block clocks in the middle of a
+segment, so a fault-injecting run walks one instruction at a time anyway
+(DESIGN.md §11).
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
@@ -47,7 +49,6 @@ from repro.pim.plan import (
     APPLY_MOVE,
     APPLY_UFUNC,
     COPY_NORS,
-    OP_IDS,
     STEP_SEGMENT,
     STEP_TRANSFER,
     ExecutionPlan,
@@ -56,7 +57,7 @@ from repro.pim.plan import (
 )
 
 __all__ = [
-    "TimingReport", "BlockExecutor", "ChipExecutor", "ExecutionPlan",
+    "TimingReport", "ChipExecutor", "ExecutionPlan",
     "tag_phase", "PHASES",
 ]
 
@@ -64,11 +65,6 @@ __all__ = [
 #: Canonical value lives in :mod:`repro.pim.plan`; re-exported here because
 #: the runtime estimator and the fault hooks import it from this module.
 _COPY_NORS = COPY_NORS
-
-#: plan-array opcode ids of the flip-eligible (NOR-based) compute ops.
-_FLIP_OP_IDS = np.array(
-    sorted(OP_IDS[op] for op in (*ARITHMETIC_OPS, Opcode.COPY)), dtype=np.uint8
-)
 
 
 def _float_dict() -> defaultdict:
@@ -119,25 +115,6 @@ def tag_phase(tag: str) -> str:
             phase = "other"
         _PHASE_CACHE[tag] = phase
     return phase
-
-
-def _fold_add(base: float, value: float, count: int) -> float:
-    """Left-fold ``count`` additions of ``value`` onto ``base``.
-
-    Bit-identical to ``for _ in range(count): base += value`` — IEEE float
-    addition is deterministic and ``np.add.accumulate`` is a strict
-    sequential fold (no pairwise re-association), so grouped accounting
-    can price a whole run of identical instructions in one shot and still
-    match the serial path float-for-float.
-    """
-    if count <= 64:
-        for _ in range(count):
-            base += value
-        return base
-    arr = np.empty(count + 1)
-    arr[0] = base
-    arr[1:] = value
-    return float(np.add.accumulate(arr)[-1])
 
 
 @dataclass
@@ -194,19 +171,6 @@ class TimingReport:
         self.op_counts[op.value] += 1
         self.dynamic_energy_j += energy
         self.n_instructions += 1
-
-    def add_batch(self, tag: str, op: Opcode, duration: float, energy: float,
-                  count: int) -> None:
-        """Account ``count`` identical instructions in one call.
-
-        Float-identical to ``count`` serial :meth:`add` calls (left-fold
-        accumulation, see :func:`_fold_add`).
-        """
-        self.time_by_tag[tag] = _fold_add(self.time_by_tag[tag], duration, count)
-        self.energy_by_tag[tag] = _fold_add(self.energy_by_tag[tag], energy, count)
-        self.op_counts[op.value] += count
-        self.dynamic_energy_j = _fold_add(self.dynamic_energy_j, energy, count)
-        self.n_instructions += count
 
     def add_overhead(self, tag: str, duration: float, energy: float) -> None:
         """Account recovery work (recomputes, retransmissions, parity upkeep)
@@ -287,9 +251,10 @@ class ChipExecutor:
         #: :class:`~repro.analysis.checker.ProgramCheckError` on errors).
         self.verify = verify
         #: optional :class:`~repro.faults.model.FaultModel`.  With no model
-        #: (or a model whose rates are all zero) every fault hook
-        #: short-circuits before touching a float, so the default
-        #: accounting stays bit-identical to the fault-free executor.
+        #: (or a model whose rates are all zero) runs replay plans and
+        #: every fault hook short-circuits before touching a float, so the
+        #: default accounting stays bit-identical to the fault-free
+        #: executor; an enabled model sends every run to serial dispatch.
         self.faults = faults
         self.costs = op_costs or default_op_costs(chip.config.device)
         self.host = host or HostOpModel(power_w=chip.config.power.cpu_host_w)
@@ -404,18 +369,18 @@ class ChipExecutor:
         """Execute ``instructions`` in program order; returns the report.
 
         ``instructions`` may be a plain stream or an :class:`ExecutionPlan`
-        from :meth:`lower`.  Plan replay is the universal path: raw streams
-        are lowered on entry, and analytic, functional *and* fault-injecting
-        runs all replay the plan — bit-identically to per-instruction
-        dispatch (block state, fault event digests and
-        :class:`TimingReport` all match float for float).  A plan lowered
-        before the chip's routes changed (``routing_epoch`` mismatch after
-        spare-block remapping) is transparently re-lowered, never replayed
-        stale.
+        from :meth:`lower`.  Fault-free runs, analytic and functional,
+        replay the plan — raw streams are lowered on entry — bit-identically
+        to per-instruction dispatch (block state and :class:`TimingReport`
+        match float for float).  A plan lowered before the chip's routes
+        changed (``routing_epoch`` mismatch after spare-block remapping) is
+        transparently re-lowered, never replayed stale.
 
-        ``serial=True`` forces the per-instruction dispatch loop — the
-        audit reference the plan path is checked against (PL001–PL004 and
-        the bit-identity test sweep); it is not a performance mode.
+        The per-instruction dispatch loop runs the stream instead when
+        ``serial=True`` — the audit reference the plan path is checked
+        against (PL001–PL004 and the bit-identity test sweep) — and when an
+        enabled fault model is attached: the fault hooks draw, and charge
+        recovery time, one instruction at a time.
 
         ``verify`` overrides the executor-level flag for this run: when
         true, the static checker passes audit the stream first and a
@@ -439,7 +404,7 @@ class ChipExecutor:
         report = TimingReport()
         faults = self.faults
         faults_on = faults is not None and faults.config.enabled
-        if serial:
+        if serial or faults_on:
             plan = None
             mode = "serial"
         else:
@@ -458,7 +423,7 @@ class ChipExecutor:
         with get_tracer().span("pim/run", chip=self.chip.config.name,
                                functional=functional, mode=mode) as sp:
             if plan is not None:
-                self._run_plan(plan, functional, faults_on, report)
+                self._run_plan(plan, functional, report)
             else:
                 for inst in instructions:
                     self._dispatch(inst, functional, report)
@@ -501,8 +466,8 @@ class ChipExecutor:
             if mode == "plan":
                 metrics.inc("executor.plan.runs")
             else:
-                # serial runs are explicit audit-reference requests; the
-                # bench's plan-coverage guard excludes them.
+                # serial runs are audit-reference requests or fault-injecting
+                # runs; the bench's plan-coverage guard excludes them.
                 metrics.inc("executor.serial.runs")
             metrics.inc("executor.instructions", report.n_instructions)
             metrics.observe("executor.instructions_per_run", report.n_instructions)
@@ -590,8 +555,9 @@ class ChipExecutor:
     # -- plan replay ------------------------------------------------------- #
 
     def _run_plan(self, plan: ExecutionPlan, functional: bool,
-                  faults_on: bool, report: TimingReport) -> None:
-        """Replay a lowered plan: vectorized accounting, serial semantics.
+                  report: TimingReport) -> None:
+        """Replay a lowered plan fault-free: vectorized accounting, serial
+        semantics.
 
         Walks the plan's step list instead of the instruction stream.
         Compute segments advance each block's clock by an exact left-fold
@@ -606,9 +572,6 @@ class ChipExecutor:
         """
         plan.replays += 1
         insts = plan.instructions
-        if faults_on:
-            self._run_plan_faulty(plan, functional, report)
-            return
         if functional and plan.apply_chip is not self.chip:
             # lockstep programs index one chip's tile arrays: (re)build
             # them for this chip on the way through.
@@ -669,88 +632,8 @@ class ChipExecutor:
             else:  # STEP_DISPATCH
                 self._dispatch(insts[payload], functional, report)
 
-    def _run_plan_faulty(self, plan: ExecutionPlan, functional: bool,
-                         report: TimingReport) -> None:
-        """Fault-mode plan replay: per-instruction, every cost precomputed.
-
-        Fault overheads advance block clocks mid-segment, so segments walk
-        one instruction at a time — but the dispatch if-chain, the cost
-        recomputation and the per-draw RNG round-trips are all gone:
-        durations/energies/NOR counts come from the plan array and the
-        transient-flip stream is pre-drawn vectorized
-        (:meth:`~repro.faults.model.FaultModel.draw_flips`).  Event logs,
-        digests and reports stay bit-identical to serial dispatch.
-        """
-        insts = plan.instructions
-        arr = plan.array
-        durs = arr["dur"]
-        energies = arr["energy"]
-        nors_col = arr["nors"]
-        flips = self._predraw_flips(plan)
-        cnt = self.counters
-        for kind, payload in plan.steps:
-            if kind == STEP_SEGMENT:
-                for i in range(payload.start, payload.stop):
-                    inst = insts[i]
-                    dur = float(durs[i])
-                    energy = float(energies[i])
-                    start = self._compute_start(inst.block)
-                    self._block_clock[inst.block] = start + dur
-                    if cnt is not None:
-                        cnt.compute(inst.block, start, start + dur,
-                                    int(nors_col[i]))
-                    if functional:
-                        self._apply_functional(inst)
-                    report.add(inst.tag, inst.op, dur, energy)
-                    nors = int(nors_col[i])
-                    if nors:
-                        self._apply_compute_faults(
-                            inst, functional, report, dur, energy, nors,
-                            flips.get(i) if flips is not None else None,
-                        )
-            elif kind == STEP_TRANSFER:
-                self._transfer_step(payload, functional, report)
-            else:  # STEP_DISPATCH
-                self._dispatch(insts[payload], functional, report)
-
-    def _predraw_flips(self, plan: ExecutionPlan):
-        """Vector-draw the whole plan's transient flips up front.
-
-        Flip draws come from their own sequential substream, independent
-        of the transfer and stuck-cell streams, so consuming the entire
-        run's draws before replay leaves every other draw unchanged.  The
-        per-instruction hit probabilities (a handful of unique
-        ``(nors, n_rows)`` exposures) are memoized on the plan.
-        """
-        f = self.faults
-        rate = f.config.flip_rate
-        if rate <= 0.0:
-            return None
-        cache = plan.flip_cache
-        if cache is None or cache[0] != rate:
-            arr = plan.array
-            elig = np.flatnonzero(
-                np.isin(arr["op"], _FLIP_OP_IDS) & (arr["n_rows"] > 0)
-            )
-            nors = arr["nors"][elig]
-            n_rows = arr["n_rows"][elig]
-            base = math.log1p(-min(rate, 0.5))
-            memo: dict = {}
-            ps = np.empty(elig.shape[0])
-            for k in range(elig.shape[0]):
-                key = (int(nors[k]), int(n_rows[k]))
-                p = memo.get(key)
-                if p is None:
-                    # the exact draw_flip expression (association included)
-                    p = memo[key] = -math.expm1(base * key[0] * key[1])
-                ps[k] = p
-            cache = plan.flip_cache = (rate, elig, ps, n_rows)
-        _, elig, ps, n_rows = cache
-        hits = f.draw_flips(ps, n_rows)
-        return {int(elig[k]): v for k, v in hits.items()}
-
     def _segment_apply(self, seg, plan: ExecutionPlan) -> None:
-        """Execute one segment's functional effects (fault-free fast path).
+        """Execute one segment's functional effects.
 
         The lockstep program is built lazily on the first functional
         replay on this chip (see
@@ -775,50 +658,14 @@ class ChipExecutor:
                 _, a, dst, value = step
                 a[dst] = value
 
-    def _apply_functional(self, inst: Instruction) -> None:
-        """Serial functional semantics of one compute op (fault-mode path)."""
-        op = inst.op
-        blk = self.chip.block(inst.block)
-        if op in ARITHMETIC_OPS:
-            getattr(blk, op.value)(inst.rows, inst.dst, inst.src1, inst.src2)
-        elif op is Opcode.COPY:
-            blk.copy_column(inst.rows, inst.dst, inst.src1)
-        elif op is Opcode.GATHER:
-            blk.gather(inst.rows, inst.dst, inst.src1, inst.row_map)
-        else:  # BROADCAST
-            blk.broadcast(inst.rows, inst.dst, inst.value)
-
     def _transfer_step(self, t, functional: bool, report: TimingReport) -> None:
         """TRANSFER with route and latencies precomputed at lower time.
 
-        Replays :meth:`_transfer` exactly — including the fault branch:
-        the retry/backoff arithmetic reuses the precomputed phase
-        latencies with the serial handler's expression order, and
-        functional delivery indexes block state through the precomputed
-        row selectors.  Only the data-dependent readiness ``max``, the
-        switch/port updates and the seeded fault draws happen at run time.
+        Replays the fault-free :meth:`_transfer` exactly; functional
+        delivery indexes block state through the precomputed row
+        selectors.  Only the data-dependent readiness ``max`` and the
+        switch/port updates happen at run time.
         """
-        f = self.faults
-        fplan = None
-        if f is not None and f.config.any_transfer_faults:
-            n_sw = t.n_switches
-            fplan = f.transfer_plan(
-                t.keys, lambda _tile: n_sw, where=t.where
-            )
-        dur = t.dur
-        attempts = 1
-        backoff = 0.0
-        delivered = True
-        if fplan is not None:
-            attempts, backoff, delivered = (
-                fplan.attempts, fplan.backoff_s, fplan.delivered
-            )
-            # every attempt re-reads the row buffer and re-traverses the
-            # wire; only a successful final attempt pays the write-back.
-            dur = (
-                attempts * (t.read_t + t.wire) + backoff
-                + (t.write_t if delivered else 0.0)
-            )
         sw = self._switch_free
         pf = self._port_free
         ready = max(
@@ -832,68 +679,35 @@ class ChipExecutor:
         keys = t.keys
         for k in keys:
             ready = max(ready, sw[k])
-        finish = ready + dur
         if t.exclusive:
-            if fplan is None:
-                held = ready + t.read_t + t.wire
-            else:
-                held = ready + attempts * (t.read_t + t.wire) + backoff
+            held = ready + t.read_t + t.wire
             for k in keys:
                 sw[k] = held
         else:
-            add = t.flit_train if fplan is None else attempts * t.flit_train
             for k in keys:
-                sw[k] += add
-        if fplan is None:
-            pf[("r", t.src)] = ready + t.read_t + t.flit_train
-        else:
-            pf[("r", t.src)] = (
-                ready + attempts * (t.read_t + t.flit_train) + backoff
-            )
-        pf[("w", t.dst)] = finish
-        energy = t.energy
-        if fplan is not None and attempts > 1:
-            # retransmissions repeat the row reads and switch traversals.
-            energy = attempts * energy
-        hops = t.hops if fplan is None else t.hops * attempts
-        flits = t.flits if fplan is None else t.flits * attempts
+                sw[k] += t.flit_train
+        pf[("r", t.src)] = ready + t.read_t + t.flit_train
+        pf[("w", t.dst)] = ready + t.dur
         report.transfers += 1
-        report.hops += hops
-        report.flits += flits
+        report.hops += t.hops
+        report.flits += t.flits
         report.bytes_moved += t.n_bytes
         cnt = self.counters
         if cnt is not None:
-            if fplan is None:
-                # deferred record (see HardwareCounters hot-path contract):
-                # occupancy/flits/hops all derive from the stable step
-                # object at finalize time, so the replay pays one 3-tuple.
-                cnt.xfer_log.append((t, ready, ready0))
-            else:
-                link_busy = (
-                    attempts * (t.read_t + t.wire) + backoff
-                    if t.exclusive else attempts * t.flit_train
-                )
-                cnt.transfer(keys, ready, link_busy, flits, hops,
-                             t.n_bytes, ready - ready0)
-        if fplan is not None and not delivered:
-            # undeliverable payload: the destination keeps its stale rows.
-            report.add(t.tag, t.op, dur, energy)
-            return
+            # deferred record (see HardwareCounters hot-path contract):
+            # occupancy/flits/hops all derive from the stable step object
+            # at finalize time, so the replay pays one 3-tuple.
+            cnt.xfer_log.append((t, ready, ready0))
         if functional:
             src_vals = self.chip.block(t.src).data[
                 t.s_sel, t.src1:t.src1 + t.words
             ]
             if src_vals.shape[0] != t.n_rows:
                 raise ValueError("TRANSFER src/dst row selections must match in size")
-            dblk = self.chip.block(t.dst)
-            dblk.data[t.d_sel, t.dst_col:t.dst_col + t.words] = src_vals
-            if fplan is not None and fplan.corrupt_payload:
-                # undetected corruption (protection off): one flipped bit
-                # lands in the delivered payload.
-                off, word, bit = f.draw_corrupt_bit(t.n_rows, t.words)
-                row = self._abs_row(t.d_rows, off)
-                dblk.flip_bit(row, t.dst_col + word, bit)
-        report.add(t.tag, t.op, dur, energy)
+            self.chip.block(t.dst).data[
+                t.d_sel, t.dst_col:t.dst_col + t.words
+            ] = src_vals
+        report.add(t.tag, t.op, t.dur, t.energy)
 
     # ------------------------------------------------------------------ #
 
@@ -935,26 +749,13 @@ class ChipExecutor:
         """Inject device faults into one NOR-based compute op (arith/COPY).
 
         Called only when a fault model with non-zero rates is attached.
-        The serial audit path draws the flip here; the plan path pre-draws
-        the whole stream (:meth:`_predraw_flips`) and calls
-        :meth:`_apply_compute_faults` directly — same stream, same order,
-        same outcomes.
-        """
-        flip = self.faults.draw_flip(nors, inst.n_rows)
-        self._apply_compute_faults(inst, functional, report, dur, energy,
-                                   nors, flip)
-
-    def _apply_compute_faults(self, inst: Instruction, functional: bool,
-                              report: TimingReport, dur: float, energy: float,
-                              nors: int, flip) -> None:
-        """Apply one compute op's fault outcomes (flip pre-drawn by caller).
-
         Recovery work (parity upkeep, detect-and-recompute) is charged as
         overhead under the instruction's tag and advances the block clock,
         so mitigation shows up in the timing report, not just the counters.
         """
         f = self.faults
         cfg = f.config
+        flip = f.draw_flip(nors, inst.n_rows)
         f.record_nor(inst.block, nors)
         overhead = 0.0
         o_energy = 0.0
@@ -1089,15 +890,6 @@ class ChipExecutor:
         if functional:
             self.chip.block(inst.block).broadcast(inst.rows, inst.dst, inst.value)
         report.add(inst.tag, inst.op, dur, energy)
-
-    def _transfer_path(self, src: int, dst: int):
-        """(occupied switch keys, wire hops) of an inter-block transfer.
-
-        The topology is static, so the path is memoized per (chip, src,
-        dst) on the chip model itself — see :meth:`PimChip.transfer_path`.
-        """
-        keys, hops, extra, _ = self.chip.transfer_path(src, dst)
-        return keys, hops, extra
 
     def _transfer(self, inst: Instruction, functional: bool, report: TimingReport) -> None:
         src, dst = inst.src_block, inst.block
@@ -1311,8 +1103,3 @@ class ChipExecutor:
         self._host_clock = now
         self._dram_clock = now
         self._barrier_time = now
-
-
-#: Convenience alias: a single-block executor is just a chip executor used
-#: with instructions targeting one block.
-BlockExecutor = ChipExecutor

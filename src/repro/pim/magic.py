@@ -23,9 +23,10 @@ as other CMOS designs" per op while winning on row-parallelism.
 
 These measured counts are also what the execution-plan engine bakes into
 its per-instruction ``nors`` column at lowering time
-(:func:`repro.pim.plan.lower_program`), so fault-enabled plan replay
-charges NOR wear-out (``FaultModel.record_nor``) with exactly the cycle
-counts the serial audit dispatcher derives from the same netlists.
+(:func:`repro.pim.plan.lower_program`), so the hardware counters of plan
+replay total exactly the NOR cycles the serial dispatcher derives from
+the same netlists (and charges as wear-out to a fault model,
+``FaultModel.record_nor``).
 """
 
 from __future__ import annotations

@@ -3,27 +3,23 @@
 Wave simulation replays the same per-element instruction streams every
 RK stage of every time-step (§4–§5), yet per-instruction dispatch pays the
 full Python interpretation cost on every replay.  :func:`lower_program`
-compiles a stream *once* into an :class:`ExecutionPlan` — numpy structured
-arrays of ``(opcode, block, tag id, duration, energy, flits, hops, NOR
-cycles, row count)`` with every TRANSFER's route resolved per unique
-``(src, dst)`` pair up front — so
+compiles a stream *once* into an :class:`ExecutionPlan` — a numpy
+structured array of ``(opcode, duration, energy, NOR cycles)`` with every
+TRANSFER's route resolved per unique ``(src, dst)`` pair up front — so
 :meth:`repro.pim.executor.ChipExecutor.run` on a plan becomes a few
 vectorized segment reductions plus a per-block prefix-max clock advance
 instead of thousands of Python dispatches.
 
-Plan replay is the *universal* execution path (DESIGN.md §13): analytic,
-functional and fault-injecting runs all go through it.  Functional
-replay runs the blocks in lockstep, as the chip does: a segment holds
-only block-local compute ops, so ops of different blocks commute, and
-each segment's program (built lazily by :meth:`_VecSegment.build_apply`)
-issues one numpy call over a tile's block array
-(:attr:`repro.pim.tile.Tile.data`) for every group of blocks whose next
-op is the same, keeping each block's own op order.  Fault-injecting
-replay pre-draws the flip stream vectorized
-(:meth:`~repro.faults.model.FaultModel.draw_flips` consumes the seeded
-generator bit-identically to per-instruction draws) and walks segments
-per instruction with every cost precomputed.  Serial dispatch survives
-only as the audit reference (``ChipExecutor.run(..., serial=True)``).
+Plan replay runs every fault-free execution (DESIGN.md §13), analytic
+and functional.  Functional replay runs the blocks in lockstep, as the
+chip does: a segment holds only block-local compute ops, so ops of
+different blocks commute, and each segment's program (built lazily by
+:meth:`_VecSegment.build_apply`) issues one numpy call over a tile's
+block array (:attr:`repro.pim.tile.Tile.data`) for every group of blocks
+whose next op is the same, keeping each block's own op order.  Serial
+dispatch is the audit reference (``ChipExecutor.run(..., serial=True)``)
+and runs every stream with an enabled fault model, whose overheads move
+block clocks in the middle of a segment.
 
 Bit-identity contract
 ---------------------
@@ -40,9 +36,9 @@ The plan path must produce a :class:`~repro.pim.executor.TimingReport`
    op the clock already dominates the unchanged port values).
 2. Report accumulators (per-tag time/energy, total dynamic energy) are
    independent left-folds over the same addend sequence in stream order;
-   :func:`fold_array` replays the exact serial addition order (mirroring
-   ``executor._fold_add``: a Python loop for short runs, a strict
-   ``np.add.accumulate`` — never pairwise ``np.sum`` — beyond that).
+   :func:`fold_array` replays the exact serial addition order (a Python
+   loop for short runs, a strict ``np.add.accumulate`` — never pairwise
+   ``np.sum`` — beyond that).
 3. Every per-instruction float (durations, energies, wire latencies) is
    precomputed at lower time with the *same expression and association
    order* as the serial opcode handlers, so replay only re-executes the
@@ -56,15 +52,10 @@ through the executor unchanged.
 A plan records the chip's ``routing_epoch`` at lower time; if spare-block
 remapping has invalidated the routes since, the executor re-lowers
 instead of replaying stale paths.
-
-The ``REPRO_PLAN`` environment knob (default on; ``off``/``0``/``false``
-disables) gates the compiler's use of the plan path; the scheduler knob
-``REPRO_SCHED`` lives in :mod:`repro.pim.schedule`.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from typing import (
     TYPE_CHECKING,
@@ -97,7 +88,6 @@ __all__ = [
     "STEP_TRANSFER",
     "fold_array",
     "lower_program",
-    "plan_enabled",
     "VECTORIZABLE_OPS",
 ]
 
@@ -112,21 +102,14 @@ VECTORIZABLE_OPS = frozenset(ARITHMETIC_OPS) | {
     Opcode.COPY, Opcode.GATHER, Opcode.BROADCAST,
 }
 
-#: One row per instruction: opcode id, owning block (-1 when None), interned
-#: tag id, analytic duration/energy (zero for dispatch-handled rows), the
-#: TRANSFER interconnect footprint, and the fault-hook inputs (NOR cycles
-#: of the op — nonzero only for arithmetic/COPY — plus the active row
-#: count the flip/parity models scale with).
+#: One row per instruction: opcode id, analytic duration/energy (zero for
+#: dispatch-handled rows) and the NOR cycles of the op (nonzero only for
+#: arithmetic/COPY; the hardware counters sum them per block).
 PLAN_DTYPE = np.dtype([
     ("op", np.uint8),
-    ("block", np.int32),
-    ("tag", np.int16),
     ("dur", np.float64),
     ("energy", np.float64),
-    ("flits", np.int32),
-    ("hops", np.int32),
     ("nors", np.int32),
-    ("n_rows", np.int32),
 ])
 
 #: stable opcode -> small-int encoding for the structured array.
@@ -159,18 +142,10 @@ _GATHER_ID = OP_IDS[Opcode.GATHER]
 _COPY_ID = OP_IDS[Opcode.COPY]
 
 
-def plan_enabled() -> bool:
-    """The ``REPRO_PLAN`` knob: default on, ``off``/``0``/``false`` disables."""
-    return os.environ.get("REPRO_PLAN", "on").strip().lower() not in (
-        "off", "0", "false", "no",
-    )
-
-
 def fold_array(base: float, values: np.ndarray) -> float:
     """Left-fold the additions of ``values`` (in order) onto ``base``.
 
-    Bit-identical to ``for v in values: base += v`` — the generalization of
-    ``executor._fold_add`` to heterogeneous addends.  ``np.add.accumulate``
+    Bit-identical to ``for v in values: base += v``.  ``np.add.accumulate``
     is a strict sequential fold (it must produce every prefix), unlike
     ``np.sum``/``np.add.reduce`` whose pairwise re-association would break
     the bit-identity contract.
@@ -421,17 +396,15 @@ class _TransferStep:
     """A TRANSFER with its route and phase latencies resolved at lower time.
 
     Every float here is computed with the exact expression order of
-    ``ChipExecutor._transfer``; replay re-runs only the readiness ``max``,
-    the switch/port updates and (fault mode) the retry arithmetic.  The
-    functional row selectors are precomputed too, so functional replay
-    indexes block state directly.
+    ``ChipExecutor._transfer``; replay re-runs only the readiness ``max``
+    and the switch/port updates.  The functional row selectors are
+    precomputed too, so functional replay indexes block state directly.
     """
 
     __slots__ = (
         "src", "dst", "keys", "hops", "flits", "read_t", "write_t", "wire",
         "flit_train", "dur", "energy", "n_bytes", "exclusive", "tag", "op",
-        "n_rows", "words", "src1", "dst_col", "s_sel", "d_sel", "d_rows",
-        "where", "n_switches",
+        "n_rows", "words", "src1", "dst_col", "s_sel", "d_sel",
     )
 
     def __init__(self, inst: Instruction, chip: "PimChip",
@@ -446,12 +419,12 @@ class _TransferStep:
                                                n_rows, inst.words)
         (self.keys, self.hops, self.flits, self.read_t, self.write_t,
          self.wire, self.flit_train, self.dur, self.energy, self.n_bytes,
-         self.exclusive, self.n_switches) = template
+         self.exclusive) = template
         self.src = src
         self.dst = dst
         self.tag = inst.tag
         self.op = inst.op
-        # functional / fault-mode inputs
+        # functional inputs
         self.n_rows = n_rows
         self.words = inst.words
         self.src1 = inst.src1
@@ -463,8 +436,6 @@ class _TransferStep:
             if isinstance(inst.rows, tuple)
             else np.asarray(inst.rows)
         )
-        self.d_rows = inst.rows
-        self.where = f"transfer:{src}->{dst}"
 
 
 def _transfer_cost_template(chip: "PimChip", costs: "OpCosts", src: int,
@@ -490,7 +461,7 @@ def _transfer_cost_template(chip: "PimChip", costs: "OpCosts", src: int,
     energy = costs.row_move_energy_j(n_rows, words=words)
     energy += hops * n_rows * words * dev.e_search_j
     return (tuple(keys), hops, flits, read_t, write_t, wire, flit_train,
-            dur, energy, n_rows * words * 4, ic.exclusive, ic.n_switches)
+            dur, energy, n_rows * words * 4, ic.exclusive)
 
 
 class ExecutionPlan:
@@ -503,17 +474,15 @@ class ExecutionPlan:
     """
 
     __slots__ = (
-        "instructions", "array", "tags", "steps", "routing_epoch",
-        "chip_name", "replays", "schedule_stats", "flip_cache",
-        "apply_chip", "interned",
+        "instructions", "array", "steps", "routing_epoch", "chip_name",
+        "replays", "schedule_stats", "apply_chip", "interned",
     )
 
     def __init__(self, instructions: List[Instruction], array: np.ndarray,
-                 tags: List[str], steps: List[Tuple[int, Any]],
+                 steps: List[Tuple[int, Any]],
                  routing_epoch: int, chip_name: str) -> None:
         self.instructions: List[Instruction] = instructions
         self.array: np.ndarray = array
-        self.tags: List[str] = tags
         self.steps: List[Tuple[int, Any]] = steps
         #: ``PimChip.routing_epoch`` at lower time; a mismatch at run time
         #: means spare-block remapping moved a block and the resolved routes
@@ -525,9 +494,6 @@ class ExecutionPlan:
         #: makespan bookkeeping attached by :func:`repro.pim.schedule.
         #: schedule_plan` (None for emission-order plans).
         self.schedule_stats: Optional[Dict[str, Any]] = None
-        #: memoized flip-draw inputs: ``(flip_rate, eligible indices,
-        #: per-instruction hit probabilities, eligible row counts)``.
-        self.flip_cache: Optional[Tuple[Any, ...]] = None
         #: the chip whose tile arrays the segments' lockstep programs
         #: index, and the index arrays they share (see
         #: :meth:`_VecSegment.build_apply`).
@@ -652,18 +618,14 @@ def lower_program(
     insts = list(instructions)
     n = len(insts)
     array = np.zeros(n, dtype=PLAN_DTYPE)
-    tag_ids: Dict[str, int] = {}
     xfer_templates: Dict[Tuple[int, Optional[int], int, int], Tuple[Any, ...]] = {}
     steps: List[Tuple[int, Any]] = []
     seg_start = -1  # start index of the open vec segment, -1 when closed
     dev = costs.device
     op_col = array["op"]
-    block_col = array["block"]
-    tag_col = array["tag"]
     dur_col = array["dur"]
     energy_col = array["energy"]
     nors_col = array["nors"]
-    n_rows_col = array["n_rows"]
     # per-opcode constants, resolved once per lowering
     arith_dur = {op: costs.time_s(op.value) for op in ARITHMETIC_OPS}
     arith_nors = {op: costs.nor_count(op.value) for op in ARITHMETIC_OPS}
@@ -679,11 +641,6 @@ def lower_program(
     for i, inst in enumerate(insts):
         op = inst.op
         op_col[i] = OP_IDS[op]
-        block_col[i] = -1 if inst.block is None else inst.block
-        tid = tag_ids.get(inst.tag)
-        if tid is None:
-            tid = tag_ids[inst.tag] = len(tag_ids)
-        tag_col[i] = tid
         if op in VECTORIZABLE_OPS:
             # exact serial-handler cost expressions (see executor._arith &c.)
             n_rows = inst.n_rows
@@ -709,7 +666,6 @@ def lower_program(
                 energy = costs.row_move_energy_j(n_rows, words=inst.words)
             dur_col[i] = dur
             energy_col[i] = energy
-            n_rows_col[i] = n_rows
             if seg_start < 0:
                 seg_start = i
             continue
@@ -726,9 +682,6 @@ def lower_program(
             t = _TransferStep(inst, chip, costs, template=tpl)
             dur_col[i] = t.dur
             energy_col[i] = t.energy
-            array["flits"][i] = t.flits
-            array["hops"][i] = t.hops
-            n_rows_col[i] = t.n_rows
             steps.append((STEP_TRANSFER, t))
         else:
             # LUT/HOSTOP/DRAM_*/BARRIER couple multiple clocks: replay
@@ -737,11 +690,9 @@ def lower_program(
             steps.append((STEP_DISPATCH, i))
     flush(n)
 
-    tags = list(tag_ids)
     return ExecutionPlan(
         instructions=insts,
         array=array,
-        tags=tags,
         steps=steps,
         routing_epoch=chip.routing_epoch,
         chip_name=chip.config.name,

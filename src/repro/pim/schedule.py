@@ -51,20 +51,16 @@ work/span/occupancy bound family on top of these primitives.
 
 Scheduling changes the *order* of clock updates, so a scheduled plan's
 TimingReport legitimately differs from emission order — that is the
-point.  Fault-injecting runs consume seeded RNG streams in instruction
-order, so the compiler only schedules fault-free pipelines (digests stay
-comparable across runs); a scheduled plan replayed under a fault model is
-still *correct*, it just draws in the new order.
-
-The ``REPRO_SCHED`` knob (default **off**; ``on``/``1``/``true``/``yes``
-enables) gates the compiler's use of the scheduler; ``repro bench
---schedule`` and the perf-guard flip it per run.
+point.  The compiler never schedules: the paper tables are priced in
+emission order.  :func:`schedule_plan` is called explicitly by ``repro
+bench``, ``repro perf audit``, PL004 and the benchmark harness.  A
+scheduled plan run under a fault model dispatches serially in its
+scheduled order, so its fault draws follow that order.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -98,7 +94,6 @@ __all__ = [
     "dependency_graph",
     "earliest_starts",
     "plan_slack",
-    "schedule_enabled",
     "schedule_order",
     "schedule_plan",
     "sim_items",
@@ -115,13 +110,6 @@ Item = Tuple[Any, ...]
 #: a clock-entry key: ``("b", block)`` block clock, ``("r"/"w", block)``
 #: transfer port, ``("s", switch_key)`` switch, ``"host"``/``"dram"``.
 ClockKey = Hashable
-
-
-def schedule_enabled() -> bool:
-    """The ``REPRO_SCHED`` knob: default off, ``on``/``1``/``true``/``yes`` enables."""
-    return os.environ.get("REPRO_SCHED", "off").strip().lower() in (
-        "on", "1", "true", "yes",
-    )
 
 
 # --------------------------------------------------------------------- #

@@ -6,7 +6,6 @@ worst case is always a recompile.
 """
 
 import dataclasses
-import os
 
 import pytest
 
@@ -146,6 +145,36 @@ class TestCompilerIntegration:
         assert warm.op_counts_per_element == cold.op_counts_per_element
         assert warm.dram_bytes_per_step == cold.dram_bytes_per_step
         assert warm.plan == cold.plan
+
+    def test_stale_path_knobs_do_not_reach_the_cache(self, monkeypatch,
+                                                     tmp_path):
+        """Compile results depend only on the fingerprinted inputs.
+
+        ``REPRO_SCHED=on`` used to make the compiler schedule its costing
+        pipelines, which changed ``stage_times`` while
+        ``compile_fingerprint`` ignored the knob, so an entry written under
+        it was served to default runs (and the other way round).  The
+        compiler now has one path: a compile under the old knobs, and a
+        later hit on its entry with them unset, both match a clean
+        compile.
+        """
+        def compile_once(cache):
+            return WavePimCompiler(order=3).compile("acoustic", 2, CHIP,
+                                                    cache=cache)
+
+        clean = compile_once(None)
+        for env in ({"REPRO_SCHED": "on"},
+                    {"REPRO_SCHED": "on", "REPRO_PLAN": "off"}):
+            cache = CompileCache(tmp_path / "-".join(env), enabled=True)
+            for key, value in env.items():
+                monkeypatch.setenv(key, value)
+            written = compile_once(cache)
+            for key in env:
+                monkeypatch.delenv(key)
+            served = compile_once(cache)
+            assert cache.stats.hits == 1
+            assert written.stage_times == clean.stage_times, env
+            assert served.stage_times == clean.stage_times, env
 
     def test_distinct_cells_do_not_alias(self, tmp_path):
         cache = CompileCache(tmp_path, enabled=True)

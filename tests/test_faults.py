@@ -15,8 +15,6 @@ The contract under test, in order of importance:
    the uninterrupted run bit-identically.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -341,15 +339,6 @@ class TestTransferFaults:
         assert m.counts["uncorrected"] == 1
         got = chip1.block(1).data[0:8, 4]
         assert not np.array_equal(got, np.full(8, 3.0, dtype=np.float32))
-
-    def test_plan_run_matches_serial_faults(self):
-        prog = small_program(n_ops=30)
-        ms = FaultModel(FaultConfig.at_rate(1e-3, seed=9))
-        _, rep_serial = run_prog(prog, model=ms, serial=True)
-        mp = FaultModel(FaultConfig.at_rate(1e-3, seed=9))
-        _, rep_plan = run_prog(prog, model=mp)
-        assert rep_plan.total_time_s == rep_serial.total_time_s
-        assert mp.event_digest() == ms.event_digest()
 
     def test_scheduler_accounts_retries(self):
         h = HTree(256)

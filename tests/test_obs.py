@@ -5,15 +5,14 @@ the per-phase cycle totals must equal the sum of per-instruction cycles
 under both the serial audit and plan-replay executor modes.
 """
 
-import importlib.util
 import json
 import logging
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.analysis import tracecheck
 from repro.core.kernels.acoustic import AcousticOneBlockKernels
 from repro.core.mapper import ElementMapper
 from repro.dg import AcousticMaterial, HexMesh, ReferenceElement
@@ -37,13 +36,6 @@ from repro.obs import (
 from repro.pim.chip import PimChip
 from repro.pim.executor import PHASES, ChipExecutor, TimingReport, tag_phase
 from repro.pim.params import CHIP_CONFIGS
-
-_SPEC = importlib.util.spec_from_file_location(
-    "validate_trace",
-    Path(__file__).resolve().parents[1] / "scripts" / "validate_trace.py",
-)
-validate_trace = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(validate_trace)
 
 
 # --------------------------------------------------------------------- #
@@ -321,44 +313,49 @@ class TestLogging:
 
 
 # --------------------------------------------------------------------- #
-# trace validator (scripts/validate_trace.py, used by CI)
+# trace validator (repro check --trace, used by CI)
 # --------------------------------------------------------------------- #
 
 
 class TestValidator:
     def test_valid_document_passes(self):
-        assert validate_trace.validate(_sample_doc()) == []
-        assert validate_trace.validate(
+        assert tracecheck.validate(_sample_doc()) == []
+        assert tracecheck.validate(
             _sample_doc(), require=("compile", "execute", "report")
         ) == []
 
     def test_empty_and_malformed_fail(self):
-        assert validate_trace.validate({}) != []
-        assert validate_trace.validate({"schema": 1, "kind": "repro-trace", "spans": []})
+        assert tracecheck.validate({}) != []
+        assert tracecheck.validate({"schema": 1, "kind": "repro-trace", "spans": []})
         bad = _sample_doc()
         bad["spans"][0]["children"][0]["end_s"] = -1e9
-        assert any("end_s < start_s" in e for e in validate_trace.validate(bad))
+        assert any("end_s < start_s" in e for e in tracecheck.validate(bad))
 
     def test_missing_required_phase_fails(self):
-        errors = validate_trace.validate(_sample_doc(), require=("nonexistent",))
+        errors = tracecheck.validate(_sample_doc(), require=("nonexistent",))
         assert any("nonexistent" in e for e in errors)
 
     def test_chrome_validation(self):
-        assert validate_trace.validate_chrome(chrome_trace(_sample_doc())) == []
-        assert validate_trace.validate_chrome({"traceEvents": []}) != []
-        assert validate_trace.validate_chrome(
+        assert tracecheck.validate_chrome(chrome_trace(_sample_doc())) == []
+        assert tracecheck.validate_chrome({"traceEvents": []}) != []
+        assert tracecheck.validate_chrome(
             {"traceEvents": [{"name": "x", "ph": "X", "ts": "bad"}]}
         ) != []
 
     def test_cli_exit_codes(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        def check(*argv):
+            return main(["check", "--trace", *map(str, argv)])
+
         path = tmp_path / "trace.json"
         write_trace(_sample_doc(), path)
-        assert validate_trace.main([str(path), "--require", "compile"]) == 0
-        assert validate_trace.main([str(path), "--require", "bogus"]) == 1
+        assert check(path, "--require", "compile") == 0
+        assert check(path, "--require", "bogus") == 1
         empty = tmp_path / "empty.json"
         empty.write_text('{"schema": 1, "kind": "repro-trace", "spans": []}')
-        assert validate_trace.main([str(empty), "--no-chrome"]) == 1
-        assert validate_trace.main([str(tmp_path / "missing.json")]) == 2
+        assert check(empty) == 1
+        assert check(tmp_path / "missing.json") == 1
 
 
 # --------------------------------------------------------------------- #
@@ -498,10 +495,10 @@ class TestCliProfile:
         err = capsys.readouterr().err
         assert "trace tree" in err
         doc = load_trace(trace_path)
-        assert validate_trace.validate(
+        assert tracecheck.validate(
             doc, require=("compile", "execute", "report")) == []
         chrome = json.loads((tmp_path / "trace.chrome.json").read_text())
-        assert validate_trace.validate_chrome(chrome) == []
+        assert tracecheck.validate_chrome(chrome) == []
 
     def test_trace_summary_subcommand(self, tmp_path, capsys):
         from repro.__main__ import main

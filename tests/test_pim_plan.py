@@ -1,16 +1,16 @@
-"""Execution plans as the universal execution path: bit-identity everywhere.
+"""Execution plans as the fault-free execution path: bit-identity everywhere.
 
-The contract under test (DESIGN.md §13): *every* ``ChipExecutor.run`` —
-analytic, functional, and fault-injecting — replays a lowered
+The contract under test (DESIGN.md §13): every fault-free
+``ChipExecutor.run``, analytic and functional, replays a lowered
 :class:`~repro.pim.plan.ExecutionPlan`; the per-instruction serial
-dispatcher survives only as the audit reference behind
-``run(..., serial=True)``.  Plan replay must be *bit-identical* to that
-reference on every paper benchmark: same :class:`TimingReport` (totals,
-phase split, interconnect accounting, dict key order), same block states
-after functional execution, same fault-event digests under a seeded fault
-model.  Plans transparently re-lower when the chip's routing epoch moves,
-and the MASIM-style makespan scheduler (:mod:`repro.pim.schedule`) may
-only emit permutations the dependency DAG proves legal (PL004).
+dispatcher is the audit reference behind ``run(..., serial=True)`` and
+runs every stream with an enabled fault model.  Plan replay must be
+*bit-identical* to that reference on every paper benchmark: same
+:class:`TimingReport` (totals, phase split, interconnect accounting, dict
+key order) and same block states after functional execution.  Plans
+transparently re-lower when the chip's routing epoch moves, and the
+MASIM-style makespan scheduler (:mod:`repro.pim.schedule`) may only emit
+permutations the dependency DAG proves legal (PL004).
 """
 
 import dataclasses
@@ -26,7 +26,7 @@ from repro.pim.chip import PimChip
 from repro.pim.executor import ChipExecutor, ExecutionPlan
 from repro.pim.isa import Opcode
 from repro.pim.params import CHIP_CONFIGS
-from repro.pim.plan import fold_array, lower_program, plan_enabled
+from repro.pim.plan import fold_array, lower_program
 from repro.workloads.benchmarks import BENCHMARKS
 
 
@@ -77,9 +77,9 @@ def _benchmark_program(key):
 
 
 class TestBenchmarkBitIdentity:
-    """All six paper benchmarks: serial audit == plan replay, bit for bit —
-    analytic, functional, and under a seeded fault model (the satellite
-    sweep that proves plan replay is safe as the only execution path)."""
+    """All six paper benchmarks: serial audit == plan replay, bit for bit,
+    analytic and functional (the sweep that proves plan replay is safe as
+    the path of every fault-free run)."""
 
     @pytest.mark.parametrize("key", sorted(BENCHMARKS))
     def test_analytic_plan_matches_serial(self, key):
@@ -100,20 +100,6 @@ class TestBenchmarkBitIdentity:
         chip_s, _, serial = _run_mode(program, "serial", functional=True)
         chip_p, _, plan = _run_mode(program, "plan", functional=True)
         _assert_reports_identical(serial, plan, f"{key} functional")
-        assert _state_digest(chip_p) == _state_digest(chip_s)
-
-    @pytest.mark.parametrize("key", sorted(BENCHMARKS))
-    def test_faulty_plan_matches_serial(self, key):
-        from repro.faults.model import FaultConfig
-
-        program = _benchmark_program(key)
-        cfg = FaultConfig.at_rate(1e-4, seed=11)
-        chip_s, ex_s, serial = _run_mode(program, "serial", functional=True,
-                                         fault_cfg=cfg)
-        chip_p, ex_p, plan = _run_mode(program, "plan", functional=True,
-                                       fault_cfg=cfg)
-        _assert_reports_identical(serial, plan, f"{key} faulty")
-        assert ex_p.faults.event_digest() == ex_s.faults.event_digest()
         assert _state_digest(chip_p) == _state_digest(chip_s)
 
 
@@ -177,7 +163,8 @@ class TestLowering:
 
 
 class TestUniversalPath:
-    """Plan replay is the only execution path; ``serial=True`` is the audit."""
+    """Plan replay runs every fault-free stream; serial dispatch is the
+    audit (``serial=True``) and the fault-injection engine."""
 
     def test_functional_run_takes_plan_path(self, acoustic_program):
         from repro.obs import get_metrics
@@ -195,25 +182,43 @@ class TestUniversalPath:
         _assert_reports_identical(rep, raw, "functional plan")
         assert _state_digest(ex.chip) == _state_digest(chip2)
 
-    def test_fault_model_stays_on_plan_path(self, acoustic_program):
+    def test_fault_model_dispatches_serially(self, acoustic_program):
+        """An enabled fault model sends even a lowered plan through serial
+        dispatch, with the same outcome as asking for it; a model that
+        cannot inject anything keeps plan replay."""
         from repro.faults.model import FaultConfig, FaultModel
         from repro.obs import get_metrics
 
         m = get_metrics()
-        # an *enabled* fault model (nonzero rate) also replays the plan
-        cfg = FaultConfig(seed=7, flip_rate=1e-5)
-        ex = ChipExecutor(PimChip(CHIP_CONFIGS["2GB"]),
-                          faults=FaultModel(cfg))
+        cfg = FaultConfig.at_rate(1e-4, seed=11)
+        chip = PimChip(CHIP_CONFIGS["2GB"])
+        ex = ChipExecutor(chip, faults=FaultModel(cfg))
         plan = ex.lower(acoustic_program)
-        runs0 = m.value("executor.plan.runs")
-        rep = ex.run(plan, functional=False)
-        assert m.value("executor.plan.runs") == runs0 + 1
-        # bit-identical to the serial audit: same seed, same report
-        ex2 = ChipExecutor(PimChip(CHIP_CONFIGS["2GB"]),
-                           faults=FaultModel(FaultConfig(seed=7, flip_rate=1e-5)))
-        raw = ex2.run(acoustic_program, functional=False, serial=True)
-        _assert_reports_identical(rep, raw, "fault plan")
-        assert ex.faults.event_digest() == ex2.faults.event_digest()
+        serial0 = m.value("executor.serial.runs")
+        plan0 = m.value("executor.plan.runs")
+        rep = ex.run(plan, functional=True)
+        assert m.value("executor.serial.runs") == serial0 + 1
+        assert m.value("executor.plan.runs") == plan0
+        assert plan.replays == 0
+        assert rep.faults_injected > 0  # the model really fired
+        chip_s, ex_s, ref = _run_mode(plan.instructions, "serial",
+                                      functional=True, fault_cfg=cfg)
+        _assert_reports_identical(rep, ref, "fault run")
+        assert ex.faults.event_digest() == ex_s.faults.event_digest()
+        assert _state_digest(chip) == _state_digest(chip_s)
+
+        off = FaultConfig(seed=11)
+        assert not off.enabled
+        chip_off = PimChip(CHIP_CONFIGS["2GB"])
+        rep_off = ChipExecutor(chip_off, faults=FaultModel(off)).run(
+            plan, functional=True)
+        assert m.value("executor.plan.runs") == plan0 + 1
+        assert m.value("executor.serial.runs") == serial0 + 2
+        assert plan.replays == 1
+        chip_ref, _, ref_off = _run_mode(plan.instructions, "serial",
+                                         functional=True)
+        _assert_reports_identical(rep_off, ref_off, "disabled-model run")
+        assert _state_digest(chip_off) == _state_digest(chip_ref)
 
     def test_serial_runs_are_counted(self, acoustic_program):
         from repro.obs import get_metrics
@@ -225,32 +230,6 @@ class TestUniversalPath:
         ex.run(acoustic_program, functional=False, serial=True)
         assert m.value("executor.serial.runs") == serial0 + 1
         assert m.value("executor.plan.runs") == plan0
-
-    def test_repro_plan_knob(self, monkeypatch):
-        for off in ("off", "0", "false", "no", " OFF "):
-            monkeypatch.setenv("REPRO_PLAN", off)
-            assert not plan_enabled()
-        for on in ("on", "1", "yes", ""):
-            monkeypatch.setenv("REPRO_PLAN", on)
-            assert plan_enabled()
-        monkeypatch.delenv("REPRO_PLAN")
-        assert plan_enabled()
-
-    def test_compiler_honours_knob(self, monkeypatch, tmp_path):
-        """REPRO_PLAN=off restores the serial audit path, bit-identically."""
-        from repro.core.cache import CompileCache
-        from repro.core.compiler import WavePimCompiler
-
-        def compile_once():
-            return WavePimCompiler(order=2).compile(
-                "acoustic", 2, CHIP_CONFIGS["512MB"],
-                cache=CompileCache(tmp_path / "c", enabled=False),
-            )
-
-        with_plan = compile_once()
-        monkeypatch.setenv("REPRO_PLAN", "off")
-        without = compile_once()
-        assert with_plan.stage_times == without.stage_times
 
 
 class TestStaleRoutes:
@@ -399,17 +378,6 @@ class TestScheduler:
         ex.run(sched, functional=True)
         assert _state_digest(chip_p) == _state_digest(chip_s)
 
-    def test_repro_sched_knob(self, monkeypatch):
-        from repro.pim.schedule import schedule_enabled
-
-        monkeypatch.delenv("REPRO_SCHED", raising=False)
-        assert not schedule_enabled()  # default off
-        for on in ("on", "1", "true", "yes", " ON "):
-            monkeypatch.setenv("REPRO_SCHED", on)
-            assert schedule_enabled()
-        monkeypatch.setenv("REPRO_SCHED", "off")
-        assert not schedule_enabled()
-
     @pytest.mark.parametrize("key", sorted(BENCHMARKS)[:2])
     def test_pl004_clean_on_benchmarks(self, key):
         from repro.analysis.checker import CheckContext
@@ -422,7 +390,7 @@ class TestScheduler:
 
 
 class TestFoldArray:
-    """fold_array is the plan-side twin of the executor's _fold_add."""
+    """fold_array replays the serial dispatcher's left-fold accumulation."""
 
     def test_matches_sequential_left_fold(self):
         rng = np.random.default_rng(3)
@@ -441,7 +409,8 @@ class TestFoldArray:
 class TestLintRules:
     """The repo lint rejects dispatch loops (RL004), _dispatch leaks (RL005),
     silent broad excepts (RL007), plan-replay internals outside the
-    executors (RL008) and rebinding of block storage (RL009)."""
+    executors (RL008), rebinding of block storage (RL009) and environment
+    knobs outside the kept list (RL010)."""
 
     @staticmethod
     def _lint(tmp_path, rel, source):
@@ -540,11 +509,11 @@ class TestLintRules:
     def test_flags_plan_replay_internals_outside_executors(self, tmp_path):
         codes = self._lint(tmp_path, "src/repro/core/bad.py",
                            "def f(ex, plan, rep):\n"
-                           "    ex._run_plan(plan, True, False, rep)\n")
+                           "    ex._run_plan(plan, True, rep)\n")
         assert "RL008" in codes
         codes = self._lint(tmp_path, "src/repro/pim/multichip.py",
                            "def f(ex, plan, rep):\n"
-                           "    ex._run_plan(plan, True, False, rep)\n")
+                           "    ex._run_plan(plan, True, rep)\n")
         assert "RL008" not in codes
 
     @pytest.mark.parametrize("stmt", [
@@ -572,6 +541,29 @@ class TestLintRules:
                            "    def __init__(self, data):\n"
                            "        self.data = data\n")
         assert "RL009" not in codes
+
+    @pytest.mark.parametrize("source", [
+        "import os\nX = os.environ.get('REPRO_SCHED')\n",
+        "import os\nos.environ['REPRO_PLAN'] = 'off'\n",
+        "def f(n):\n    return f'REPRO_SHARDS={n}'\n",
+        "def f():\n    'Set ``REPRO_NEW_KNOB=1`` to turn it on.'\n",
+    ], ids=["environ-get", "environ-set", "f-string", "docstring"])
+    def test_flags_unlisted_env_knob(self, tmp_path, source):
+        codes = self._lint(tmp_path, "src/repro/core/bad.py", source)
+        assert "RL010" in codes
+
+    def test_allows_kept_env_knobs(self, tmp_path):
+        codes = self._lint(tmp_path, "src/repro/core/ok.py",
+                           "import os\n"
+                           "A = os.environ.get('REPRO_CACHE_DIR')\n"
+                           "B = os.environ.get('REPRO_TRACE_FILE')\n"
+                           "C = 'set REPRO_COUNTERS=1 or REPRO_LOG_LEVEL'\n"
+                           "D = 'REPRO_NO_CACHE REPRO_JOBS REPRO_TRACE'\n")
+        assert "RL010" not in codes
+        # the rule covers src/ only: tests and scripts may name anything
+        codes = self._lint(tmp_path, "tests/test_x.py",
+                           "X = 'REPRO_SCHED'\n")
+        assert "RL010" not in codes
 
 
 class TestRouteTable:
