@@ -2,7 +2,7 @@
 
 Unlike the table/figure regenerations these measure *our* simulator's
 speed (real pytest-benchmark rounds): the numpy dG right-hand side, the
-PIM functional executor, and the transfer scheduler.
+PIM functional executor, and the executor's transfer replay.
 """
 
 import numpy as np
@@ -18,9 +18,9 @@ from repro.dg import (
     HexMesh,
     ReferenceElement,
 )
-from repro.interconnect import HTree, Transfer, schedule_transfers
 from repro.pim.chip import PimChip
 from repro.pim.executor import ChipExecutor
+from repro.pim.isa import Instruction, Opcode
 from repro.pim.params import CHIP_CONFIGS
 
 
@@ -68,15 +68,19 @@ def test_pim_functional_step_throughput(benchmark):
 
 
 @pytest.mark.benchmark(group="micro")
-def test_scheduler_throughput(benchmark):
+def test_transfer_replay_throughput(benchmark):
+    """Analytic replay of 1,000 random tile-0 TRANSFERs, lowered once."""
     rng = np.random.default_rng(1)
-    transfers = [
-        Transfer(int(rng.integers(0, 256)), int(rng.integers(0, 256)), 32)
-        for _ in range(1000)
-    ]
-    h = HTree(256)
-    res = benchmark(schedule_transfers, h, transfers)
-    assert res.n_transfers == 1000
+    pairs = [(int(rng.integers(0, 256)), int(rng.integers(0, 256)))
+             for _ in range(1000)]
+    ex = ChipExecutor(PimChip(CHIP_CONFIGS["512MB"]))
+    plan = ex.lower([
+        Instruction(Opcode.TRANSFER, block=dst, src_block=src, rows=(0, 1),
+                    src_rows=(0, 1), dst=0, src1=0, words=32)
+        for src, dst in pairs
+    ])
+    rep = benchmark(ex.run, plan, functional=False)
+    assert rep.transfers == 1000
 
 
 @pytest.mark.benchmark(group="micro")

@@ -129,54 +129,43 @@ def _cmd_experiments(_args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
+def _run_experiments(args, names, label: str, gap: bool) -> int:
+    """Run and print each experiment of ``names`` (``repro run`` / ``all``).
+
+    ``gap`` prints a blank line after every table.  An unknown id or a
+    rejected argument stops the run with exit code 2.
+    """
     _configure_cache(args)
     _configure_counters(args)
-    kwargs = {}
-    if args.order is not None:
-        kwargs["order"] = args.order
+    kwargs = {"order": args.order} if args.order is not None else {}
     profiling = _profile_begin(args)
     t0 = time.perf_counter()
     try:
-        with get_tracer().span(f"run/{args.id}"):
-            try:
-                table = run_experiment(args.id, jobs=args.jobs, **kwargs)
-            except (KeyError, ValueError) as exc:
-                print(exc, file=sys.stderr)
-                return 2
-            with get_tracer().span("report", experiment=args.id):
-                rendered = table.render()
-        print(rendered)
-    finally:
-        if profiling:
-            _profile_end(args, f"run {args.id}")
-    print(_cache_status(time.perf_counter() - t0), file=sys.stderr)
-    return 0
-
-
-def _cmd_all(args) -> int:
-    _configure_cache(args)
-    _configure_counters(args)
-    profiling = _profile_begin(args)
-    t0 = time.perf_counter()
-    try:
-        for name in EXPERIMENTS:
-            kwargs = {"order": args.order} if args.order is not None else {}
+        for name in names:
             with get_tracer().span(f"run/{name}"):
                 try:
                     table = run_experiment(name, jobs=args.jobs, **kwargs)
-                except ValueError as exc:
+                except (KeyError, ValueError) as exc:
                     print(exc, file=sys.stderr)
                     return 2
                 with get_tracer().span("report", experiment=name):
                     rendered = table.render()
             print(rendered)
-            print()
+            if gap:
+                print()
     finally:
         if profiling:
-            _profile_end(args, "all")
+            _profile_end(args, label)
     print(_cache_status(time.perf_counter() - t0), file=sys.stderr)
     return 0
+
+
+def _cmd_run(args) -> int:
+    return _run_experiments(args, [args.id], f"run {args.id}", gap=False)
+
+
+def _cmd_all(args) -> int:
+    return _run_experiments(args, list(EXPERIMENTS), "all", gap=True)
 
 
 def _cmd_cache(args) -> int:

@@ -182,22 +182,6 @@ class AcousticOneBlockKernels(KernelBase):
     # Volume (Fig. 5 left timeline)
     # ------------------------------------------------------------------ #
 
-    def _derivative_chain(self, b, axis, var_col, acc_col, accumulate, tag):
-        """Emit the tap/coeff gather + multiply-accumulate dot product."""
-        lay = self.layout
-        rows = lay.compute_rows
-        insts = []
-        dmap = lay.dshape_row_map(axis)
-        for a in range(lay.npts):
-            insts.append(self._gather(b, rows, self.r_tap, var_col, lay.tap_row_map(axis, a), tag))
-            insts.append(self._gather(b, rows, self.r_coeff, a, dmap, tag))
-            first = (a == 0) and not accumulate
-            dst = acc_col if first else self.r_tmp
-            insts.append(self._arith(Opcode.MUL, b, rows, dst, self.r_tap, self.r_coeff, tag))
-            if not first:
-                insts.append(self._arith(Opcode.ADD, b, rows, acc_col, acc_col, self.r_tmp, tag))
-        return insts
-
     def volume(self, tag: str = "volume", elements=None) -> list:
         """contrib_p = c_kappa * div(v); contrib_v = c_invrho * grad(p)."""
         lay = self.layout
@@ -208,14 +192,14 @@ class AcousticOneBlockKernels(KernelBase):
             # div v into r_acc (accumulates across the three axes)
             for axis, v in enumerate(("vx", "vy", "vz")):
                 insts += self._derivative_chain(
-                    b, axis, lay.col_var[v], self.r_acc, accumulate=axis > 0, tag=tag
+                    b, lay, axis, lay.col_var[v], self.r_acc, tag, accumulate=axis > 0
                 )
             insts.append(self._arith(
                 Opcode.MUL, b, rows, lay.col_contrib["p"], self.r_acc, lay.col_econst[0], tag))
             # grad p, one axis at a time, straight into the contributions
             for axis, v in enumerate(("vx", "vy", "vz")):
                 insts += self._derivative_chain(
-                    b, axis, lay.col_var["p"], self.r_acc, accumulate=False, tag=tag
+                    b, lay, axis, lay.col_var["p"], self.r_acc, tag
                 )
                 insts.append(self._arith(
                     Opcode.MUL, b, rows, lay.col_contrib[v], self.r_acc, lay.col_econst[1], tag))
@@ -299,25 +283,6 @@ class AcousticOneBlockKernels(KernelBase):
                 insts.append(self._arith(Opcode.ADD, b, rows, aux, aux, self.r_tmp, tag))
                 insts.append(self._arith(Opcode.MUL, b, rows, self.r_tmp, aux, self.r_ic + 2, tag))
                 insts.append(self._arith(Opcode.ADD, b, rows, var, var, self.r_tmp, tag))
-        return insts
-
-    # ------------------------------------------------------------------ #
-
-    def rk_stage(self, stage: int, dt: float) -> list:
-        """One full LSRK stage: Volume, Flux, Integration + barriers."""
-        insts = self.volume()
-        insts.append(Instruction(Opcode.BARRIER, tag="sync"))
-        insts += self.flux()
-        insts.append(Instruction(Opcode.BARRIER, tag="sync"))
-        insts += self.integration(stage, dt)
-        insts.append(Instruction(Opcode.BARRIER, tag="sync"))
-        return insts
-
-    def time_step(self, dt: float) -> list:
-        """The paper's five integration steps per time-step."""
-        insts = []
-        for s in range(5):
-            insts += self.rk_stage(s, dt)
         return insts
 
 
@@ -437,19 +402,6 @@ class AcousticFourBlockKernels(KernelBase):
 
     # ------------------------------------------------------------------ #
 
-    def _derivative_chain(self, b, lay, axis, var_col, acc_col, tag):
-        rows = lay.compute_rows
-        insts = []
-        dmap = lay.dshape_row_map(axis)
-        for a in range(lay.npts):
-            insts.append(self._gather(b, rows, self.r_tap, var_col, lay.tap_row_map(axis, a), tag))
-            insts.append(self._gather(b, rows, self.r_coeff, a, dmap, tag))
-            dst = acc_col if a == 0 else self.r_tmp
-            insts.append(self._arith(Opcode.MUL, b, rows, dst, self.r_tap, self.r_coeff, tag))
-            if a != 0:
-                insts.append(self._arith(Opcode.ADD, b, rows, acc_col, acc_col, self.r_tmp, tag))
-        return insts
-
     def volume(self, tag: str = "volume", elements=None) -> list:
         """Fig. 8: per-axis derivative chains + div partial-sum exchange."""
         lv, lp = self.lay_v, self.lay_p
@@ -562,19 +514,4 @@ class AcousticFourBlockKernels(KernelBase):
                 insts.append(self._arith(Opcode.ADD, b, rows, aux, aux, self.r_tmp, tag))
                 insts.append(self._arith(Opcode.MUL, b, rows, self.r_tmp, aux, self.r_ic + 2, tag))
                 insts.append(self._arith(Opcode.ADD, b, rows, var, var, self.r_tmp, tag))
-        return insts
-
-    def rk_stage(self, stage: int, dt: float) -> list:
-        insts = self.volume()
-        insts.append(Instruction(Opcode.BARRIER, tag="sync"))
-        insts += self.flux()
-        insts.append(Instruction(Opcode.BARRIER, tag="sync"))
-        insts += self.integration(stage, dt)
-        insts.append(Instruction(Opcode.BARRIER, tag="sync"))
-        return insts
-
-    def time_step(self, dt: float) -> list:
-        insts = []
-        for s in range(5):
-            insts += self.rk_stage(s, dt)
         return insts

@@ -106,6 +106,28 @@ class KernelBase:
             tag=tag,
         )
 
+    def _derivative_chain(self, b, lay, axis, var_col, acc_col, tag,
+                          accumulate=False) -> list:
+        """Emit the tap/coeff gather + multiply-accumulate dot product.
+
+        Differentiates column ``var_col`` of block ``b`` (laid out by
+        ``lay``) along ``axis`` into ``acc_col``; with ``accumulate`` the
+        first tap adds to ``acc_col`` instead of overwriting it.  Uses the
+        subclass's ``r_tap``/``r_coeff``/``r_tmp`` scratch registers.
+        """
+        rows = lay.compute_rows
+        insts = []
+        dmap = lay.dshape_row_map(axis)
+        for a in range(lay.npts):
+            insts.append(self._gather(b, rows, self.r_tap, var_col, lay.tap_row_map(axis, a), tag))
+            insts.append(self._gather(b, rows, self.r_coeff, a, dmap, tag))
+            first = (a == 0) and not accumulate
+            dst = acc_col if first else self.r_tmp
+            insts.append(self._arith(Opcode.MUL, b, rows, dst, self.r_tap, self.r_coeff, tag))
+            if not first:
+                insts.append(self._arith(Opcode.ADD, b, rows, acc_col, acc_col, self.r_tmp, tag))
+        return insts
+
     # -- geometry helpers -------------------------------------------------- #
 
     def face_rows(self, face: int) -> np.ndarray:
@@ -129,3 +151,22 @@ class KernelBase:
                 "physical boundaries are handled by the numpy reference solver"
             )
         return nbr if nbr in self.mapper else None
+
+    # -- stage composition ------------------------------------------------- #
+
+    def rk_stage(self, stage: int, dt: float) -> list:
+        """One full LSRK stage: Volume, Flux, Integration + barriers."""
+        insts = self.volume()
+        insts.append(Instruction(Opcode.BARRIER, tag="sync"))
+        insts += self.flux()
+        insts.append(Instruction(Opcode.BARRIER, tag="sync"))
+        insts += self.integration(stage, dt)
+        insts.append(Instruction(Opcode.BARRIER, tag="sync"))
+        return insts
+
+    def time_step(self, dt: float) -> list:
+        """The paper's five integration steps per time-step."""
+        insts = []
+        for s in range(5):
+            insts += self.rk_stage(s, dt)
+        return insts

@@ -278,20 +278,6 @@ class ElasticFourBlockKernels(KernelBase):
     # Volume
     # ------------------------------------------------------------------ #
 
-    def _derivative_chain(self, b, axis, var_col, acc_col, tag):
-        lay = self.lay3
-        rows = lay.compute_rows
-        insts = []
-        dmap = lay.dshape_row_map(axis)
-        for a in range(lay.npts):
-            insts.append(self._gather(b, rows, self.r_tap, var_col, lay.tap_row_map(axis, a), tag))
-            insts.append(self._gather(b, rows, self.r_coeff, a, dmap, tag))
-            dst = acc_col if a == 0 else self.r_tmp
-            insts.append(self._arith(Opcode.MUL, b, rows, dst, self.r_tap, self.r_coeff, tag))
-            if a != 0:
-                insts.append(self._arith(Opcode.ADD, b, rows, acc_col, acc_col, self.r_tmp, tag))
-        return insts
-
     def volume(self, tag: str = "volume", elements=None) -> list:
         """Nine dv chains + six stress combos (V) and nine dsigma chains."""
         lay = self.lay3
@@ -304,7 +290,7 @@ class ElasticFourBlockKernels(KernelBase):
             # --- V block: exactly nine dv_i/dx_j chains, combined per Voigt.
             for i in range(3):
                 insts += self._derivative_chain(
-                    vb, i, lay.col_var[self._ABC[i]], self.r_grad + i, tag)
+                    vb, lay, i, lay.col_var[self._ABC[i]], self.r_grad + i, tag)
             insts.append(self._arith(
                 Opcode.ADD, vb, rows, self.r_acc, self.r_grad + 0, self.r_grad + 1, tag))
             insts.append(self._arith(
@@ -324,9 +310,9 @@ class ElasticFourBlockKernels(KernelBase):
                 else:
                     # sigma_ij contribution = mu_ds * (dv_i/dx_j + dv_j/dx_i)
                     insts += self._derivative_chain(
-                        vb, vj, lay.col_var[self._ABC[vi]], self.r_part + 0, tag)
+                        vb, lay, vj, lay.col_var[self._ABC[vi]], self.r_part + 0, tag)
                     insts += self._derivative_chain(
-                        vb, vi, lay.col_var[self._ABC[vj]], self.r_part + 1, tag)
+                        vb, lay, vi, lay.col_var[self._ABC[vj]], self.r_part + 1, tag)
                     insts.append(self._arith(
                         Opcode.ADD, vb, rows, self.r_t + 0,
                         self.r_part + 0, self.r_part + 1, tag))
@@ -345,10 +331,10 @@ class ElasticFourBlockKernels(KernelBase):
                     sb, scol = s_blocks[var]
                     if base_b is None:
                         base_b = sb
-                        insts += self._derivative_chain(sb, axis, scol, self.r_acc, tag)
+                        insts += self._derivative_chain(sb, lay, axis, scol, self.r_acc, tag)
                         continue
                     acc = self.r_part + 0
-                    insts += self._derivative_chain(sb, axis, scol, acc, tag)
+                    insts += self._derivative_chain(sb, lay, axis, scol, acc, tag)
                     if sb != base_b:
                         insts.append(self._transfer(
                             base_b, sb, rows, rows, self.r_part + 1, acc, 1, f"{tag}:sync"))
@@ -541,19 +527,4 @@ class ElasticFourBlockKernels(KernelBase):
                     insts.append(self._arith(
                         Opcode.MUL, b, rows, self.r_tmp, aux, self.r_t + 0, tag))
                     insts.append(self._arith(Opcode.ADD, b, rows, var, var, self.r_tmp, tag))
-        return insts
-
-    def rk_stage(self, stage: int, dt: float) -> list:
-        insts = self.volume()
-        insts.append(Instruction(Opcode.BARRIER, tag="sync"))
-        insts += self.flux()
-        insts.append(Instruction(Opcode.BARRIER, tag="sync"))
-        insts += self.integration(stage, dt)
-        insts.append(Instruction(Opcode.BARRIER, tag="sync"))
-        return insts
-
-    def time_step(self, dt: float) -> list:
-        insts = []
-        for s in range(5):
-            insts += self.rk_stage(s, dt)
         return insts

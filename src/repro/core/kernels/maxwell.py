@@ -155,20 +155,6 @@ class MaxwellOneBlockKernels(KernelBase):
 
     # -- Volume: the two curls --------------------------------------------- #
 
-    def _derivative_chain(self, b, axis, var_col, acc_col, tag):
-        lay = self.layout
-        rows = lay.compute_rows
-        insts = []
-        dmap = lay.dshape_row_map(axis)
-        for a in range(lay.npts):
-            insts.append(self._gather(b, rows, self.r_tap, var_col, lay.tap_row_map(axis, a), tag))
-            insts.append(self._gather(b, rows, self.r_coeff, a, dmap, tag))
-            dst = acc_col if a == 0 else self.r_tmp
-            insts.append(self._arith(Opcode.MUL, b, rows, dst, self.r_tap, self.r_coeff, tag))
-            if a != 0:
-                insts.append(self._arith(Opcode.ADD, b, rows, acc_col, acc_col, self.r_tmp, tag))
-        return insts
-
     def volume(self, tag: str = "volume", elements=None) -> list:
         """contrib_E = (ds/eps) curl H ; contrib_H = -(ds/mu) curl E."""
         lay = self.layout
@@ -183,9 +169,9 @@ class MaxwellOneBlockKernels(KernelBase):
                 for i, j, k in _CYCLIC:
                     # curl(F)_i = dF_k/dx_j - dF_j/dx_k
                     insts += self._derivative_chain(
-                        b, j, self._var_col(k, field), self.r_acc, tag)
+                        b, lay, j, self._var_col(k, field), self.r_acc, tag)
                     insts += self._derivative_chain(
-                        b, k, self._var_col(j, field), self.r_d + 0, tag)
+                        b, lay, k, self._var_col(j, field), self.r_d + 0, tag)
                     first, second = (self.r_d + 0, self.r_acc) if negate else (
                         self.r_acc, self.r_d + 0)
                     insts.append(self._arith(
@@ -291,19 +277,4 @@ class MaxwellOneBlockKernels(KernelBase):
                 insts.append(self._arith(Opcode.ADD, b, rows, aux, aux, self.r_tmp, tag))
                 insts.append(self._arith(Opcode.MUL, b, rows, self.r_tmp, aux, self.r_t, tag))
                 insts.append(self._arith(Opcode.ADD, b, rows, var, var, self.r_tmp, tag))
-        return insts
-
-    def rk_stage(self, stage: int, dt: float) -> list:
-        insts = self.volume()
-        insts.append(Instruction(Opcode.BARRIER, tag="sync"))
-        insts += self.flux()
-        insts.append(Instruction(Opcode.BARRIER, tag="sync"))
-        insts += self.integration(stage, dt)
-        insts.append(Instruction(Opcode.BARRIER, tag="sync"))
-        return insts
-
-    def time_step(self, dt: float) -> list:
-        insts = []
-        for s in range(5):
-            insts += self.rk_stage(s, dt)
         return insts

@@ -98,7 +98,7 @@ _N_VARS = {"acoustic": 4, "elastic": 9}
 def _fault_overhead_per_stage(compiled, faults) -> float:
     """Expected mitigation seconds added to one RK stage of one batch."""
     from repro.pim.arithmetic import default_op_costs
-    from repro.pim.executor import _COPY_NORS
+    from repro.pim.plan import COPY_NORS
 
     cfg = faults.config
     st = compiled.stage_times
@@ -112,7 +112,7 @@ def _fault_overhead_per_stage(compiled, faults) -> float:
     compute = st.volume + st.flux_compute_minus + st.flux_compute_plus + st.integration
     if cfg.protect:
         # parity upkeep: one 2-NOR copy per compute op, vs ~add-sized ops.
-        overhead += compute * _COPY_NORS / costs.nor_count("add")
+        overhead += compute * COPY_NORS / costs.nor_count("add")
     if cfg.flip_rate > 0.0:
         # each detected flip recomputes one op: expected redo fraction is
         # flip_rate x NORs x active rows per op (first order, small rates).

@@ -9,6 +9,7 @@ points) rather than absolute numbers.
 
 from __future__ import annotations
 
+import inspect
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -849,12 +850,16 @@ def run_experiment(name: str, jobs=None, **kwargs) -> Table:
 
     ``jobs`` (default: ``REPRO_JOBS`` or 1) prewarms the experiment's
     compile cells with that many worker processes before the single-process
-    table assembly; results are identical to the serial path.
+    table assembly; results are identical to the serial path.  ``order``
+    reaches only the experiments that take one: tables 3-5 do not depend
+    on the polynomial order and run unchanged.
     """
     try:
         fn = EXPERIMENTS[name]
     except KeyError:
         raise KeyError(f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}") from None
+    if "order" not in inspect.signature(fn).parameters:
+        kwargs.pop("order", None)
     jobs = _resolve_jobs(jobs)
     order = kwargs.get("order", 7)
     tracer = get_tracer()

@@ -3,20 +3,13 @@
 A 256-block memory tile is served either by a 4-ary H-tree (64 + 16 + 4 + 1
 = 85 switches, the paper's count) that lets transfers with disjoint switch
 paths proceed concurrently, or by a single-switch Bus that serializes every
-transfer.  The scheduling model here is what produces the Fig. 14 intra- vs
-inter-element split and the ~2x H-tree advantage on flux-heavy phases.
+transfer.  These classes describe the topology (switch paths, counts,
+power); :class:`~repro.pim.executor.ChipExecutor` times transfers along
+their paths, which is what produces Fig. 14's H-tree/Bus comparison.
 """
 
-from repro.interconnect.topology import Interconnect, Transfer, ScheduledTransfer
+from repro.interconnect.topology import Interconnect
 from repro.interconnect.htree import HTree
 from repro.interconnect.bus import Bus
-from repro.interconnect.routing import schedule_transfers
 
-__all__ = [
-    "Interconnect",
-    "Transfer",
-    "ScheduledTransfer",
-    "HTree",
-    "Bus",
-    "schedule_transfers",
-]
+__all__ = ["Interconnect", "HTree", "Bus"]

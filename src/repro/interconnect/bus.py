@@ -3,7 +3,8 @@
 "Only one central bus switch is needed for a bus interconnect" — cheap in
 leakage power (17.2 mW vs 107.13 mW for the H-tree, Table 3) but "the bus
 switch processes these transmissions sequentially": every transfer in the
-tile occupies the one switch, so the conflict scheduler serializes them.
+tile occupies the one switch, and :attr:`Bus.exclusive` makes the executor
+hold it through each transfer's read and wire phases, serializing them.
 """
 
 from __future__ import annotations

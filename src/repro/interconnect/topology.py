@@ -1,80 +1,49 @@
-"""Abstract interconnect interface and transfer records.
+"""Abstract tile interconnect: switch paths, switch counts and power.
 
-A *transfer* moves one burst (typically one 1024-bit row-buffer image, or a
-few words of it) from a source block to a destination block inside a tile.
-The interconnect assigns each transfer a *path* (the ordered list of switch
-ids it occupies) and a *latency*; the scheduler in :mod:`routing` then packs
-transfers in time subject to switch-occupancy conflicts.
+A *transfer* moves rows of words (typically one 1024-bit row-buffer image,
+or a few words of it) from a source block to a destination block inside a
+tile.  The interconnect gives each ``(src, dst)`` pair its *path*, the
+ordered switch ids the transfer occupies, plus the flit geometry and
+switch-holding discipline that price it;
+:class:`~repro.pim.executor.ChipExecutor` places transfers in time along
+these paths.
 
 The instruction sequence of the paper's example (§4.2.1) — read I0, memcpy
 I1..I3 hop by hop along D0->D1->D2->D3, write I4 — maps to
-``read_cost + len(path) * hop_latency + write_cost``.
+``read + len(path) * hop_latency_per_flit * flits + write``.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
 
-__all__ = ["Transfer", "ScheduledTransfer", "Interconnect"]
-
-
-@dataclass(frozen=True)
-class Transfer:
-    """One inter-block burst.
-
-    Parameters
-    ----------
-    src, dst:
-        Block indices within the tile (0 .. n_blocks-1).
-    words:
-        Payload size in 32-bit words (a full row buffer is 32 words).
-    tag:
-        Free-form label used by Fig. 14's intra/inter-element attribution.
-    """
-
-    src: int
-    dst: int
-    words: int = 32
-    tag: str = ""
-
-
-@dataclass
-class ScheduledTransfer:
-    """A transfer placed in time by the conflict scheduler."""
-
-    transfer: Transfer
-    start: float
-    finish: float
-    path: tuple[int, ...] = field(default_factory=tuple)
-
-    @property
-    def duration(self) -> float:
-        return self.finish - self.start
+__all__ = ["Interconnect"]
 
 
 class Interconnect(abc.ABC):
     """Common interface for tile-level interconnects.
 
-    Concrete topologies provide switch paths, per-transfer latency, switch
-    counts and static power; the conflict scheduler is topology-agnostic.
+    Concrete topologies provide switch paths, switch counts, labels and
+    static power; :class:`~repro.pim.executor.ChipExecutor` prices
+    transfers from the paths and the timing attributes below.
     """
 
     #: seconds for one flit to traverse one switch (model parameter,
     #: aligned with the crossbar row access time T_search = 1.5 ns).
     hop_latency_per_flit: float = 1.5e-9
 
-    #: 32-bit words per link flit.  H-tree links are short point-to-point
-    #: segments and afford a 128-bit datapath; the Bus is a single long
-    #: tile-spanning wire with a 32-bit datapath (which is also why its
-    #: switch draws 17.2 mW against the H-tree's 107.13 mW total, Table 3).
+    #: 32-bit words per link flit.  Every topology, the Bus included, moves
+    #: 4-word (128-bit) flits, and Fig. 14's H-tree/Bus comparison is
+    #: reproduced with this value: the two differ in switch count and in
+    #: :attr:`exclusive`, not in datapath width.
     flit_words: int = 4
 
     #: exclusive interconnects ("only one data path can be enabled when
-    #: using the bus interconnection", §4.2.2) hold their switches for the
-    #: entire transfer including the row read/write phases; non-exclusive
-    #: ones (H-tree) only during the wire phase, letting disjoint sub-trees
-    #: transfer simultaneously.
+    #: using the bus interconnection", §4.2.2) hold their switches through
+    #: the row read and the wire phase of each transfer; non-exclusive ones
+    #: (H-tree) serve each transfer for one flit train per switch, so
+    #: disjoint sub-trees and back-to-back transfers through one switch
+    #: overlap.
     exclusive: bool = False
 
     def __init__(self, n_blocks: int):
@@ -137,14 +106,6 @@ class Interconnect(abc.ABC):
     @abc.abstractmethod
     def name(self) -> str:
         ...
-
-    # -- latency -------------------------------------------------------- #
-
-    def transfer_latency(self, transfer: Transfer) -> float:
-        """Wire time of one transfer once granted its path (no queueing)."""
-        hops = len(self.path(transfer.src, transfer.dst))
-        flits = -(-transfer.words // self.flit_words)
-        return hops * self.hop_latency_per_flit * flits
 
     def _check_block(self, b: int) -> None:
         if not 0 <= b < self.n_blocks:

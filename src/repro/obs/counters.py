@@ -1,7 +1,7 @@
 """Hardware counters: per-resource occupancy recording + makespan attribution.
 
-:class:`HardwareCounters` is the recorder the executor (and the batched
-transfer scheduler) feed while a plan replays: per-block busy seconds and
+:class:`HardwareCounters` is the recorder the executor feeds while a plan
+replays (or the serial dispatcher runs): per-block busy seconds and
 NOR-op counts, per-interconnect-link flit/occupancy accounting, host/DRAM
 channel busy and stall time, and transfer queueing delay.  It is a passive
 side-channel — recording only *reads* values the executor already computed,
@@ -85,8 +85,7 @@ class HardwareCounters:
     into the flat ``start_log`` — no per-segment tuple is built at all;
     :meth:`_finalize` re-walks the plan's own step list to recover the
     intervals.  Records are stored by reference and must not be mutated by
-    the caller afterwards (plan steps and memoized chip routes are stable;
-    the batched scheduler passes fresh lists).
+    the caller afterwards (plan steps and memoized chip routes are stable).
     """
 
     __slots__ = (
@@ -182,7 +181,7 @@ class HardwareCounters:
         """Drain the raw logs into the aggregates (incremental, idempotent).
 
         Eager tuples come from the :meth:`compute`/:meth:`transfer` methods
-        (serial dispatch and the scheduler); *deferred* records come from
+        (serial dispatch); *deferred* records come from
         the executor's replay loop, which keeps its hot path at one bare
         append per site:
 

@@ -61,11 +61,6 @@ __all__ = [
     "tag_phase", "PHASES",
 ]
 
-#: NOR cycles of a row-parallel column-to-column copy (two cascaded NOTs).
-#: Canonical value lives in :mod:`repro.pim.plan`; re-exported here because
-#: the runtime estimator and the fault hooks import it from this module.
-_COPY_NORS = COPY_NORS
-
 
 def _float_dict() -> defaultdict:
     """Picklable ``defaultdict(float)`` factory for report accumulators."""
@@ -762,8 +757,8 @@ class ChipExecutor:
         if cfg.protect:
             # parity-row upkeep: one row-parallel copy updates the
             # checksum column after every protected compute op.
-            overhead += _COPY_NORS * self.costs.device.t_nor_s
-            o_energy += _COPY_NORS * 32 * self.costs.device.e_nor_j * inst.n_rows
+            overhead += COPY_NORS * self.costs.device.t_nor_s
+            o_energy += COPY_NORS * 32 * self.costs.device.e_nor_j * inst.n_rows
 
         if flip is not None:
             off, bit = flip
@@ -845,17 +840,17 @@ class ChipExecutor:
                                  self.costs.nor_count(inst.op.value))
 
     def _copy(self, inst: Instruction, functional: bool, report: TimingReport) -> None:
-        dur = _COPY_NORS * self.costs.device.t_nor_s
-        energy = _COPY_NORS * 32 * self.costs.device.e_nor_j * inst.n_rows
+        dur = COPY_NORS * self.costs.device.t_nor_s
+        energy = COPY_NORS * 32 * self.costs.device.e_nor_j * inst.n_rows
         start = self._compute_start(inst.block)
         self._block_clock[inst.block] = start + dur
         if self.counters is not None:
-            self.counters.compute(inst.block, start, start + dur, _COPY_NORS)
+            self.counters.compute(inst.block, start, start + dur, COPY_NORS)
         if functional:
             self.chip.block(inst.block).copy_column(inst.rows, inst.dst, inst.src1)
         report.add(inst.tag, inst.op, dur, energy)
         if self.faults is not None and self.faults.config.enabled:
-            self._compute_faults(inst, functional, report, dur, energy, _COPY_NORS)
+            self._compute_faults(inst, functional, report, dur, energy, COPY_NORS)
 
     def _gather(self, inst: Instruction, functional: bool, report: TimingReport) -> None:
         n_unique = inst.n_unique_rows

@@ -92,7 +92,6 @@ __all__ = [
 ]
 
 #: NOR cycles of a row-parallel column-to-column copy (two cascaded NOTs).
-#: Canonical home of the constant the executor re-exports as ``_COPY_NORS``.
 COPY_NORS = 2
 
 #: Opcodes whose timing touches only the owning block's clock — the ones a

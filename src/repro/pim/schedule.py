@@ -454,10 +454,6 @@ def sim_items(ex: "ChipExecutor", plan: ExecutionPlan) -> List[Item]:
     return items
 
 
-#: backward-compatible private alias (pre-§15 callers/tests).
-_sim_items = sim_items
-
-
 def _item_durations(items: Sequence[Item]) -> List[float]:
     """Modeled duration of each resource-model item (barrier: 0)."""
     return [

@@ -24,10 +24,10 @@ from repro.pim.params import ChipConfig
 __all__ = ["Tile", "make_interconnect"]
 
 
-def make_interconnect(kind: str, n_blocks: int, fanout: int = 4) -> Interconnect:
+def make_interconnect(kind: str, n_blocks: int) -> Interconnect:
     """Build a tile interconnect of the configured kind."""
     if kind == "htree":
-        return HTree(n_blocks=n_blocks, fanout=fanout)
+        return HTree(n_blocks=n_blocks)
     if kind == "bus":
         return Bus(n_blocks=n_blocks)
     raise ValueError(f"unknown interconnect kind {kind!r}")

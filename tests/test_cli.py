@@ -30,6 +30,9 @@ class TestCli:
     def test_run_with_order(self, capsys):
         assert main(["run", "table6", "--order", "2"]) == 0
         assert "Acoustic_4" in capsys.readouterr().out
+        # table 5 does not depend on the order: --order is accepted and unused
+        assert main(["run", "table5", "--order", "2"]) == 0
+        assert "matches_paper" in capsys.readouterr().out
 
     def test_simulate(self, capsys):
         assert main(["simulate", "--level", "1", "--order", "2", "--steps", "5"]) == 0

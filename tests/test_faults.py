@@ -33,7 +33,7 @@ from repro.faults.campaign import (
     run_campaign,
     strict_violations,
 )
-from repro.interconnect import HTree, Transfer, schedule_transfers
+from repro.interconnect import HTree
 from repro.pim.chip import PimChip
 from repro.pim.executor import ChipExecutor
 from repro.pim.isa import Instruction, Opcode
@@ -339,21 +339,6 @@ class TestTransferFaults:
         assert m.counts["uncorrected"] == 1
         got = chip1.block(1).data[0:8, 4]
         assert not np.array_equal(got, np.full(8, 3.0, dtype=np.float32))
-
-    def test_scheduler_accounts_retries(self):
-        h = HTree(256)
-        transfers = [Transfer(i, 128 + i, 32) for i in range(50)]
-        res0 = schedule_transfers(h, transfers)
-        m = FaultModel(FaultConfig(transfer_drop_rate=0.4, seed=0))
-        res1 = schedule_transfers(h, transfers, fault_model=m)
-        assert res1.retries > 0
-        assert res1.makespan > res0.makespan
-
-    def test_scheduler_counts_undelivered_on_dead_fabric(self):
-        h = HTree(256)
-        m = FaultModel(FaultConfig(switch_fail_rate=1.0, seed=0))
-        res = schedule_transfers(h, [Transfer(0, 9, 32)], fault_model=m)
-        assert res.undelivered == 1
 
     def test_switch_level_api(self):
         from repro.interconnect.bus import Bus

@@ -1,13 +1,17 @@
-"""H-tree and Bus topologies + the conflict-aware transfer scheduler."""
+"""H-tree and Bus topologies: switch counts, paths, power, transfer timing.
+
+Transfers are timed by the executor; its contention cases are in
+``tests/test_pim_chip_executor.py::TestInterconnectContention``.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.interconnect import Bus, HTree, Transfer, schedule_transfers
+from repro.interconnect import Bus, HTree
 from repro.interconnect.htree import morton_decode, morton_encode
-from repro.interconnect.routing import transfer_duration
+from tests.transfer_timing import run_transfers, single_transfer_s
 
 blocks256 = st.integers(min_value=0, max_value=255)
 
@@ -106,55 +110,15 @@ class TestBus:
 
 
 class TestScheduler:
-    def test_disjoint_quads_parallel_on_htree(self):
-        """Fig. 3 bottom: Block 0->2 and 5->7 overlap on the H-tree but
-        serialize on the Bus."""
-        t1 = Transfer(src=0, dst=2, words=32)
-        t2 = Transfer(src=5, dst=7, words=32)
-        h = schedule_transfers(HTree(16), [t1, t2])
-        b = schedule_transfers(Bus(16), [t1, t2])
-        d_h = transfer_duration(HTree(16), t1, 1.5e-9, 1.5e-9)
-        assert h.makespan == pytest.approx(d_h)  # fully parallel
-        assert b.makespan > h.makespan  # bus serializes through switch 0
-
-    def test_same_switch_serializes(self):
-        t1 = Transfer(src=0, dst=1, words=32)
-        t2 = Transfer(src=2, dst=3, words=32)  # same S0 quad
-        res = schedule_transfers(HTree(16), [t1, t2])
-        d = transfer_duration(HTree(16), t1, 1.5e-9, 1.5e-9)
-        assert res.makespan > d
-
-    def test_port_conflicts(self):
-        """Two transfers into the same destination serialize."""
-        t1 = Transfer(src=0, dst=8, words=32)
-        t2 = Transfer(src=4, dst=8, words=32)
-        res = schedule_transfers(HTree(16), [t1, t2])
-        assert res.scheduled[1].start >= res.scheduled[0].finish
+    """Transfer scheduling as timed by the executor on the H-tree."""
 
     def test_makespan_nonnegative_and_bounded(self):
+        """Random traffic finishes no sooner than its slowest transfer and
+        no later than all transfers run one after another."""
         rng = np.random.default_rng(0)
-        transfers = [
-            Transfer(int(rng.integers(0, 16)), int(rng.integers(0, 16)), 32)
-            for _ in range(20)
-        ]
-        res = schedule_transfers(HTree(16), transfers)
-        serial = sum(
-            transfer_duration(HTree(16), t, 1.5e-9, 1.5e-9) for t in transfers
-        )
-        assert 0 <= res.makespan <= serial + 1e-12
-
-    def test_tag_attribution(self):
-        transfers = [
-            Transfer(0, 1, 32, tag="inter"),
-            Transfer(2, 3, 32, tag="intra"),
-        ]
-        res = schedule_transfers(HTree(16), transfers)
-        by_tag = res.time_by_tag()
-        assert set(by_tag) == {"inter", "intra"}
-        assert all(v > 0 for v in by_tag.values())
-
-    def test_switch_busy_accounting(self):
-        t = Transfer(0, 5, words=32)
-        res = schedule_transfers(HTree(16), [t])
-        # 3 switches on the path, each busy for the transfer's duration
-        assert res.switch_busy_time == pytest.approx(3 * res.scheduled[0].duration)
+        pairs = [(int(rng.integers(0, 16)), int(rng.integers(0, 16)))
+                 for _ in range(20)]
+        makespan, _ = run_transfers(pairs, "htree")
+        singles = [single_transfer_s(s, d, "htree") for s, d in pairs]
+        assert 0 <= max(singles) <= makespan * (1 + 1e-12)
+        assert makespan <= sum(singles) * (1 + 1e-12)

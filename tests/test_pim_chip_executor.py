@@ -9,6 +9,7 @@ from repro.pim.executor import ChipExecutor
 from repro.pim.hbm import HbmModel
 from repro.pim.isa import Instruction, Opcode
 from repro.pim.params import CHIP_CONFIGS, ChipConfig, GB, MB
+from tests.transfer_timing import run_transfers
 
 
 class TestChipConfig:
@@ -258,6 +259,71 @@ class TestExecutor:
         n1 = r1.n_instructions
         r1.merge(r1)
         assert r1.n_instructions == 2 * n1
+
+
+class TestInterconnectContention:
+    """H-tree vs Bus transfer contention on the executor (§4.2, Fig. 14).
+
+    Analytic 512MB chip, 32-row x 1-word TRANSFERs.  Each one is a row
+    read, a wire phase of one flit train per switch hop, and a row write.
+    H-tree switches are pipelined: each serves a transfer for one flit
+    train.  The Bus holds its one switch through the read and wire phases.
+    """
+
+    def _makespan(self, pairs, kind: str) -> float:
+        """Makespan of ``pairs``; plan replay and serial dispatch agree."""
+        plan, _ = run_transfers(pairs, kind)
+        serial, _ = run_transfers(pairs, kind, serial=True)
+        assert plan == serial
+        return plan
+
+    @staticmethod
+    def _phases():
+        """``(read, write, flit_train)`` seconds of one transfer."""
+        dev = CHIP_CONFIGS["512MB"].device
+        ic = PimChip(CHIP_CONFIGS["512MB"]).tile(0).interconnect
+        return (32 * dev.t_row_read_s, 32 * dev.t_row_write_s,
+                ic.hop_latency_per_flit * -(-32 // ic.flit_words))
+
+    def test_disjoint_quads_overlap_on_htree_only(self):
+        """Fig. 3: 0->2 and 5->7 use disjoint S0 switches, so the H-tree
+        runs them side by side while the Bus serializes them."""
+        read, write, train = self._phases()
+        one = self._makespan([(0, 2)], "htree")
+        assert one == pytest.approx(read + train + write)
+        assert self._makespan([(0, 2), (5, 7)], "htree") == pytest.approx(one)
+        bus = self._makespan([(0, 2), (5, 7)], "bus")
+        assert bus > one
+        assert bus == pytest.approx(2 * (read + train) + write)
+
+    def test_shared_switch_pipelines_on_htree(self):
+        """0->1 and 2->3 share one S0 switch: on the H-tree the second
+        transfer trails by one flit train; on the Bus it waits for the
+        first one's read and wire phases."""
+        read, write, train = self._phases()
+        one = self._makespan([(0, 1)], "htree")
+        assert self._makespan([(0, 1), (2, 3)], "htree") == pytest.approx(one + train)
+        assert self._makespan([(0, 1), (2, 3)], "bus") == pytest.approx(
+            2 * (read + train) + write)
+
+    @pytest.mark.parametrize("kind", ["htree", "bus"])
+    def test_destination_port_serializes(self, kind):
+        """Two transfers into block 8 share its write port: the second
+        starts when the first finishes."""
+        one = self._makespan([(0, 8)], kind)
+        assert self._makespan([(0, 8), (4, 8)], kind) == pytest.approx(2 * one)
+
+    def test_switch_occupancy_counters(self):
+        """Each switch on an H-tree path is busy one flit train per
+        transfer; the Bus switch is busy for the read and wire phases."""
+        read, _, train = self._phases()
+        _, ex = run_transfers([(0, 8)], "htree", counters=True)
+        busy = ex.counters.link_busy_s
+        assert len(busy) == 3  # S0, S1, S0 (Fig. 3)
+        assert all(v == pytest.approx(train) for v in busy.values())
+        _, ex = run_transfers([(0, 8)], "bus", counters=True)
+        assert list(ex.counters.link_busy_s.values()) == [
+            pytest.approx(read + train)]
 
 
 class TestTimingReportMerge:

@@ -566,42 +566,6 @@ class TestLintRules:
         assert "RL010" not in codes
 
 
-class TestRouteTable:
-    def test_matches_inline_resolution(self):
-        from repro.interconnect import HTree, Transfer, schedule_transfers
-        from repro.interconnect.routing import RouteTable
-
-        h = HTree(64)
-        transfers = [Transfer(i, (i * 7 + 3) % 64, 32) for i in range(50)]
-        plain = schedule_transfers(h, transfers)
-        routes = RouteTable(h)
-        memo = schedule_transfers(h, transfers, routes=routes)
-        assert plain.makespan == memo.makespan
-        assert plain.switch_busy_time == memo.switch_busy_time
-        assert plain.n_transfers == memo.n_transfers
-        assert len(routes._paths) > 0
-
-    def test_invalidate_clears_and_bumps(self):
-        from repro.interconnect import HTree
-        from repro.interconnect.routing import RouteTable
-
-        routes = RouteTable(HTree(64))
-        routes.path(0, 9)
-        assert routes._paths
-        e0 = routes.epoch
-        routes.invalidate()
-        assert not routes._paths
-        assert routes.epoch == e0 + 1
-
-    def test_rejects_foreign_interconnect(self):
-        from repro.interconnect import HTree, Transfer, schedule_transfers
-        from repro.interconnect.routing import RouteTable
-
-        with pytest.raises(ValueError):
-            schedule_transfers(HTree(64), [Transfer(0, 1, 32)],
-                               routes=RouteTable(HTree(16)))
-
-
 class TestLowerProgramDirect:
     def test_rejects_transfer_without_source(self):
         from repro.pim.isa import Instruction

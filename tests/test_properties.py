@@ -1,7 +1,6 @@
 """Cross-cutting property-based tests (hypothesis) on core invariants."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,9 +10,10 @@ from repro.core.mapper import ElementMapper, morton3_decode, morton3_encode
 from repro.dg.mesh import HexMesh
 from repro.dg.quadrature import gll_points_weights
 from repro.dg.reference_element import ReferenceElement, opposite_face
-from repro.interconnect import Bus, HTree, Transfer, schedule_transfers
+from repro.interconnect import HTree
 from repro.pim.block import MemoryBlock
 from repro.pim.params import CHIP_CONFIGS
+from tests.transfer_timing import run_transfers, single_transfer_s
 
 
 @given(st.integers(min_value=1, max_value=12))
@@ -72,33 +72,22 @@ def test_htree_path_disjointness_criterion(a, b):
 ))
 @settings(max_examples=50, deadline=None)
 def test_scheduler_invariants(pairs):
-    """No transfer overlaps another on any shared switch; makespan is the
-    max finish; bus makespan >= htree makespan for identical traffic."""
-    transfers = [Transfer(s, d, 32) for s, d in pairs]
-    h = schedule_transfers(HTree(16), transfers)
-    b = schedule_transfers(Bus(16), transfers)
-    assert h.makespan == pytest.approx(max(s.finish for s in h.scheduled))
-    # switch-exclusive check on the H-tree schedule
-    by_switch: dict = {}
-    for s in h.scheduled:
-        for sw in s.path:
-            by_switch.setdefault(sw, []).append((s.start, s.finish))
-    for intervals in by_switch.values():
-        intervals.sort()
-        for (s1, f1), (s2, f2) in zip(intervals, intervals[1:]):
-            assert s2 >= f1 - 1e-15
-    # the Bus serializes: its makespan is at least the sum of all
-    # inter-block transfer durations (paper §4.2.2).  (It can still beat
-    # the H-tree at low contention — shorter wires — which is exactly the
-    # paper's argument for offering both.)
-    from repro.interconnect.routing import transfer_duration
-
-    serial = sum(
-        transfer_duration(Bus(16), t, 1.5e-9, 1.5e-9)
-        for t in transfers
-        if t.src != t.dst
-    )
-    assert b.makespan >= serial - 1e-12
+    """Random traffic on the executor: the makespan lies between the
+    slowest single transfer and the sum of all of them; the Bus never
+    holds its switch for two transfers at once, so its makespan covers
+    the switch's whole busy time (paper §4.2.2)."""
+    for kind in ("htree", "bus"):
+        singles = [single_transfer_s(s, d, kind) for s, d in pairs]
+        makespan, ex = run_transfers(pairs, kind, counters=True)
+        assert max(singles) <= makespan * (1 + 1e-12)
+        assert makespan <= sum(singles) * (1 + 1e-12)
+        if kind == "bus":
+            links = sorted((s, e) for k, _, s, e in ex.counters.events
+                           if k == "link")
+            for (_, end), (start, _) in zip(links, links[1:]):
+                assert start >= end - 1e-15
+            busy = sum(ex.counters.link_busy_s.values())
+            assert makespan >= busy * (1 - 1e-12)
 
 
 @given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2),
