@@ -68,6 +68,24 @@ def test_pim_functional_step_throughput(benchmark):
 
 
 @pytest.mark.benchmark(group="micro")
+def test_schedule_plan_throughput(benchmark):
+    """Makespan scheduling of one acoustic r=1 time-step, lowered once:
+    dependency DAG, list scheduling, re-lowering and both replays."""
+    from repro.pim.schedule import schedule_plan
+
+    mesh = HexMesh.from_refinement_level(1)
+    elem = ReferenceElement(2)
+    mat = AcousticMaterial.homogeneous(mesh.n_elements)
+    mapper = ElementMapper(mesh.m, CHIP_CONFIGS["512MB"], 1)
+    kern = AcousticOneBlockKernels(mesh, elem, mat, mapper, "riemann")
+    ex = ChipExecutor(PimChip(CHIP_CONFIGS["512MB"]))
+    plan = ex.lower(kern.time_step(1e-4))
+    sched = benchmark(schedule_plan, ex, plan)
+    assert sched.schedule_stats["kept"]
+    benchmark.extra_info["pim_instructions"] = plan.n_instructions
+
+
+@pytest.mark.benchmark(group="micro")
 def test_transfer_replay_throughput(benchmark):
     """Analytic replay of 1,000 random tile-0 TRANSFERs, lowered once."""
     rng = np.random.default_rng(1)

@@ -15,7 +15,7 @@ touches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,14 +38,14 @@ __all__ = [
 RowSel = Union[Tuple[int, int], np.ndarray, Sequence[int]]
 
 
-@dataclass(frozen=True)
-class Access:
+class Access(NamedTuple):
     """One word-region touched by an instruction.
 
     ``col``/``words`` span columns ``[col, col + words)``; ``rows`` is the
     instruction's row selector (tuple range or index array).  ``rows=None``
     means "the whole block" (used for the LUT block, whose served rows are
-    data-dependent).
+    data-dependent).  A named tuple: immutable, and cheap to build for
+    every instruction of a stream.
     """
 
     block: Optional[int]

@@ -68,14 +68,16 @@ from typing import (
 
 import numpy as np
 
-from repro.analysis.checker import Access, CheckContext, accesses, row_mask
+from repro.analysis.checker import CheckContext, accesses, row_mask
 from repro.analysis.findings import ERROR, WARNING, Finding
 from repro.obs.counters import HardwareCounters, default_link_label
 from repro.pim.isa import Instruction, Opcode
 from repro.pim.plan import ExecutionPlan, STEP_SEGMENT
 from repro.pim.schedule import (
+    Region,
     _Sim,
     _item_durations,
+    access_regions,
     critical_path_span,
     dependency_edges,
     sim_items,
@@ -318,21 +320,13 @@ def emission_timings(
         kind = it[0]
         ready = sim.est(it)
         if kind == "t":
-            t = it[1]
-            ready0 = max(
-                sim._g(sim.port, ("r", t.src)),
-                sim._g(sim.port, ("w", t.dst)),
-                sim._g(sim.block, t.src),
-                sim._g(sim.block, t.dst),
-                sim.barrier,
-            )
-            queues[j] = ready - ready0
+            queues[j] = ready - sim.transfer_ready(it[1])
         elif kind == "l":
             _, _d, req, lut, _keys = it
             ready0 = max(sim.compute_start(req), sim.compute_start(lut))
             queues[j] = ready - ready0
         starts[j] = ready
-        sim.commit(it)
+        sim.commit(it, ready)
     return starts, queues
 
 
@@ -353,36 +347,7 @@ def measure_plan(
 # anti-pattern analyses
 # --------------------------------------------------------------------- #
 
-_Region = Tuple[Any, Optional[int], int, float, float]  # block, col, words, lo, hi
-
-
-def _fence_regions(inst: Instruction) -> Tuple[List[_Region], List[_Region]]:
-    """``(reads, writes)`` of one instruction as flat overlap regions.
-
-    DRAM staging pins the whole target block (read+write), mirroring the
-    executor's block-clock coupling — exactly the model
-    :func:`~repro.pim.schedule.dependency_edges` uses, so "no conflict"
-    here means "the DAG has no edge across the fence".
-    """
-    from repro.pim.schedule import _row_bounds
-
-    reads, writes = accesses(inst)
-    if inst.op in (Opcode.DRAM_LOAD, Opcode.DRAM_STORE) and inst.block is not None:
-        whole = Access(inst.block, None, 1, None)
-        reads = list(reads) + [whole]
-        writes = list(writes) + [whole]
-    def flat(accs: List[Access]) -> List[_Region]:
-        out: List[_Region] = []
-        for a in accs:
-            if a.block is None:
-                continue
-            lo, hi = _row_bounds(a.rows)
-            out.append((a.block, a.col, a.words, lo, hi))
-        return out
-    return flat(reads), flat(writes)
-
-
-def _regions_overlap(a: _Region, b: _Region) -> bool:
+def _regions_overlap(a: Region, b: Region) -> bool:
     if a[0] != b[0]:
         return False
     # columns: None is a whole-block wildcard
@@ -405,6 +370,9 @@ def _overfencing_barriers(program: Sequence[Instruction]) -> List[int]:
     """
     fence_idx = [i for i, inst in enumerate(program)
                  if inst.op is Opcode.BARRIER]
+    # the DAG's own region model, so "no conflict" here means "the DAG has
+    # no edge across the fence".
+    regions = access_regions()
     out: List[int] = []
     for bi in fence_idx:
         prev_f = max((i for i in fence_idx if i < bi), default=-1)
@@ -413,15 +381,15 @@ def _overfencing_barriers(program: Sequence[Instruction]) -> List[int]:
         after = list(range(bi + 1, next_f))
         if not before or not after:
             continue
-        a_reads: List[_Region] = []
-        a_writes: List[_Region] = []
+        a_reads: List[Region] = []
+        a_writes: List[Region] = []
         for i in before:
-            r, w = _fence_regions(program[i])
+            r, w = regions(program[i])
             a_reads.extend(r)
             a_writes.extend(w)
         conflict = False
         for j in after:
-            r, w = _fence_regions(program[j])
+            r, w = regions(program[j])
             for reg in w:  # B writes vs A reads+writes (WAR/WAW)
                 if any(_regions_overlap(reg, x) for x in a_writes) or \
                         any(_regions_overlap(reg, x) for x in a_reads):

@@ -114,6 +114,8 @@ PLAN_DTYPE = np.dtype([
 #: stable opcode -> small-int encoding for the structured array.
 OP_IDS = {op: i for i, op in enumerate(Opcode)}
 OP_LIST = tuple(Opcode)
+#: ``Opcode.value`` by id (the enum's ``value`` property is slow per call).
+_OP_VALUES = tuple(op.value for op in OP_LIST)
 
 #: plan step kinds (first element of each ``ExecutionPlan.steps`` entry).
 STEP_SEGMENT = 0
@@ -136,6 +138,8 @@ _APPLY_UFUNCS = {
     OP_IDS[Opcode.SUB]: np.subtract,
     OP_IDS[Opcode.MUL]: np.multiply,
 }
+_VECTORIZABLE_IDS = frozenset(OP_IDS[op] for op in VECTORIZABLE_OPS)
+_TRANSFER_ID = OP_IDS[Opcode.TRANSFER]
 _BROADCAST_ID = OP_IDS[Opcode.BROADCAST]
 _GATHER_ID = OP_IDS[Opcode.GATHER]
 _COPY_ID = OP_IDS[Opcode.COPY]
@@ -178,9 +182,9 @@ class _VecSegment:
         nors = array["nors"][indices.start:indices.stop]
         #: whole-segment energies in stream order (global dynamic-energy fold)
         self.energies = ens
-        self.op_counts = Counter(
-            insts[i].op.value for i in indices
-        )
+        self.op_counts = Counter(map(
+            _OP_VALUES.__getitem__, array["op"][indices.start:indices.stop].tolist()
+        ))
         # group positions by tag / block, preserving first-seen order so the
         # report dicts are populated in the same key order as serial dispatch
         by_tag: Dict[str, List[int]] = {}
@@ -615,11 +619,20 @@ def lower_program(
     pair), and maximal compute runs become :class:`_VecSegment` groups.
     """
     insts = list(instructions)
+    array, transfers = _cost_rows(chip, costs, insts)
+    return _assemble(chip, insts, array, transfers)
+
+
+def _cost_rows(
+    chip: "PimChip", costs: "OpCosts", insts: Sequence[Instruction]
+) -> Tuple[np.ndarray, List[_TransferStep]]:
+    """Per-instruction half of lowering: each instruction's cost row and
+    each TRANSFER's :class:`_TransferStep`, in stream order.  Each depends
+    on its own instruction alone, so a permuted stream's are permuted."""
     n = len(insts)
     array = np.zeros(n, dtype=PLAN_DTYPE)
+    transfers: List[_TransferStep] = []
     xfer_templates: Dict[Tuple[int, Optional[int], int, int], Tuple[Any, ...]] = {}
-    steps: List[Tuple[int, Any]] = []
-    seg_start = -1  # start index of the open vec segment, -1 when closed
     dev = costs.device
     op_col = array["op"]
     dur_col = array["dur"]
@@ -630,12 +643,6 @@ def lower_program(
     arith_nors = {op: costs.nor_count(op.value) for op in ARITHMETIC_OPS}
     copy_dur = COPY_NORS * dev.t_nor_s
     copy_e_unit = COPY_NORS * 32 * dev.e_nor_j
-
-    def flush(end: int) -> None:
-        nonlocal seg_start
-        if seg_start >= 0:
-            steps.append((STEP_SEGMENT, _VecSegment(array, range(seg_start, end), insts)))
-            seg_start = -1
 
     for i, inst in enumerate(insts):
         op = inst.op
@@ -665,11 +672,7 @@ def lower_program(
                 energy = costs.row_move_energy_j(n_rows, words=inst.words)
             dur_col[i] = dur
             energy_col[i] = energy
-            if seg_start < 0:
-                seg_start = i
-            continue
-        flush(i)
-        if op is Opcode.TRANSFER:
+        elif op is Opcode.TRANSFER:
             tpl = None
             if inst.src_block is not None:
                 key = (inst.src_block, inst.block, inst.n_rows, inst.words)
@@ -679,15 +682,42 @@ def lower_program(
                         chip, costs, inst.src_block, inst.block,
                         inst.n_rows, inst.words)
             t = _TransferStep(inst, chip, costs, template=tpl)
+            transfers.append(t)
             dur_col[i] = t.dur
             energy_col[i] = t.energy
-            steps.append((STEP_TRANSFER, t))
+    return array, transfers
+
+
+def _assemble(
+    chip: "PimChip", insts: List[Instruction], array: np.ndarray,
+    transfers: Iterable[_TransferStep],
+) -> ExecutionPlan:
+    """Step half of lowering: the steps of ``insts`` and their
+    :func:`_cost_rows` (possibly permuted)."""
+    steps: List[Tuple[int, Any]] = []
+    seg_start = -1  # start index of the open vec segment, -1 when closed
+    xfers = iter(transfers)
+
+    def flush(end: int) -> None:
+        nonlocal seg_start
+        if seg_start >= 0:
+            steps.append((STEP_SEGMENT, _VecSegment(array, range(seg_start, end), insts)))
+            seg_start = -1
+
+    for i, op_id in enumerate(array["op"].tolist()):
+        if op_id in _VECTORIZABLE_IDS:
+            if seg_start < 0:
+                seg_start = i
+            continue
+        flush(i)
+        if op_id == _TRANSFER_ID:
+            steps.append((STEP_TRANSFER, next(xfers)))
         else:
             # LUT/HOSTOP/DRAM_*/BARRIER couple multiple clocks: replay
             # through the serial handlers, which stay the single source of
             # truth for their semantics.
             steps.append((STEP_DISPATCH, i))
-    flush(n)
+    flush(len(insts))
 
     return ExecutionPlan(
         instructions=insts,

@@ -26,10 +26,12 @@ Pipeline:
    clocks, transfer ports, switch occupancy, host/DRAM channels): among
    ready instructions, earliest modeled start wins, critical-path length
    breaks ties, emission index makes it deterministic.
-3. :func:`schedule_plan` re-lowers the reordered stream, measures both
-   orders by *real replay* (fresh clocks, analytic mode) and keeps the
-   scheduled plan only if it strictly improves — the emission-order plan
-   is the fallback, so a scheduled plan never loses to its baseline.
+3. :func:`schedule_plan` lowers the reordered stream by permuting the
+   emission plan's cost rows and transfer steps (only the steps are
+   assembled again), measures both orders by *real replay* (fresh
+   clocks, analytic mode) and keeps the scheduled plan only if it
+   strictly improves — the emission-order plan is the fallback, so a
+   scheduled plan never loses to its baseline.
 
 Legality is auditable: PL004 (:mod:`repro.analysis.lowering`) recomputes
 the DAG and verifies the scheduler's permutation respects every edge.
@@ -65,6 +67,7 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Hashable,
     List,
@@ -80,6 +83,8 @@ from repro.pim.isa import Instruction, Opcode
 from repro.pim.plan import (
     ExecutionPlan,
     STEP_TRANSFER,
+    _VECTORIZABLE_IDS,
+    _assemble,
     lower_program,
 )
 
@@ -88,6 +93,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DependencyGraph",
+    "Region",
+    "access_regions",
     "audit_reorder",
     "critical_path_span",
     "dependency_edges",
@@ -102,6 +109,7 @@ __all__ = [
 ]
 
 _INF = float("inf")
+_DRAM_OPS = (Opcode.DRAM_LOAD, Opcode.DRAM_STORE)
 
 #: one resource-model item per instruction; heterogeneous tuples tagged by
 #: their first element ("c"/"t"/"l"/"h"/"d"/"b") — see :func:`sim_items`.
@@ -128,18 +136,59 @@ def _row_bounds(rows: Any) -> Tuple[float, float]:
     return (float(arr.min()), float(arr.max()) + 1.0)
 
 
+#: a flat word region: ``(block, first column or None, words, lo, hi)``
+#: over rows ``[lo, hi)``; a None column is the whole block.
+Region = Tuple[Any, Optional[int], int, float, float]
+
+
+def access_regions() -> Callable[[Instruction], Tuple[List[Region], List[Region]]]:
+    """The access model of :func:`dependency_edges` and PF002's fence
+    audit: ``regions(inst)`` gives ``(reads, writes)`` as :data:`Region`.
+
+    The regions of :func:`repro.analysis.checker.accesses`, block-less ones
+    dropped, each row selector widened to its ``[min, max]`` hull (which
+    can only add edges); DRAM staging also reads and writes its whole
+    block, as the executor couples that block's clock.  Hulls are memoized
+    for one stream: ranges by value, index arrays (shared by many
+    instructions) by identity, each kept alive so its id is not reused.
+    """
+    # imported lazily: repro.analysis imports the executor package.
+    from repro.analysis.checker import accesses
+
+    hulls: Dict[Hashable, Tuple[float, float]] = {}
+    keep: List[Any] = []  # every memoized selector, kept alive
+
+    def regions(inst: Instruction) -> Tuple[List[Region], List[Region]]:
+        reads, writes = accesses(inst)
+        out: Tuple[List[Region], List[Region]] = ([], [])
+        for accs, flat in zip((reads, writes), out):
+            for block, col, words, rows in accs:
+                if block is not None:
+                    key = rows if type(rows) is tuple else id(rows)
+                    h = hulls.get(key)
+                    if h is None:
+                        h = hulls[key] = _row_bounds(rows)
+                        keep.append(rows)
+                    flat.append((block, col, words, h[0], h[1]))
+        if inst.op in _DRAM_OPS and inst.block is not None:
+            whole = (inst.block, None, 1, 0.0, _INF)
+            out[0].append(whole)
+            out[1].append(whole)
+        return out
+
+    return regions
+
+
 def dependency_edges(instructions: Sequence[Instruction]) -> List[List[int]]:
     """Predecessor lists of the inter-instruction dependency DAG.
 
     ``preds[j]`` holds every ``i < j`` that must execute before ``j``:
 
-    * RAW/WAW/WAR over the word regions of :func:`~repro.analysis.checker.
-      accesses`, tracked per ``(block, column)`` with row-interval overlap
-      (index-array selectors widen to their ``[min, max]`` hull — a
-      conservative over-approximation that can only add edges);
+    * RAW/WAW/WAR over the word regions of :func:`access_regions`, tracked
+      per ``(block, column)`` with row-interval overlap; a column-less
+      access conflicts with every key seen on its block;
     * serial chains on the host channel (HOSTOP order) and the DRAM
-      channel (DRAM_LOAD/STORE order) — DRAM staging additionally pins the
-      whole target block, mirroring the executor's clock coupling;
+      channel (DRAM_LOAD/STORE order);
     * BARRIER as a full fence: it follows everything since the previous
       fence and precedes everything after it.
 
@@ -148,32 +197,42 @@ def dependency_edges(instructions: Sequence[Instruction]) -> List[List[int]]:
     write), which keeps histories short on kernel streams that overwrite
     the same working columns every stage.
     """
-    # imported lazily: repro.analysis imports the executor package.
-    from repro.analysis.checker import accesses
-
     n = len(instructions)
     preds: List[List[int]] = [[] for _ in range(n)]
-    writers: Dict[Hashable, List[Tuple[int, float, float]]] = {}
-    readers: Dict[Hashable, List[Tuple[int, float, float]]] = {}
-    block_keys: Dict[Any, Set[Hashable]] = {}  # block -> history keys seen
+    regions = access_regions()
+    #: block -> column (None: the whole block) -> (writers, readers), each
+    #: a history of ``(index, lo, hi)``.
+    hist: Dict[Any, Dict[Optional[int], Tuple[list, list]]] = {}
     fence: Optional[int] = None
     region: List[int] = []
     host_chain: Optional[int] = None
     dram_chain: Optional[int] = None
 
-    def keys_for(block: Any, col: Optional[int], words: int) -> List[Hashable]:
-        ks: List[Hashable] = [(block, "*")] if col is None else [
-            (block, c) for c in range(col, col + words)
-        ]
-        seen = block_keys.setdefault(block, set())
-        for k in ks:
-            seen.add(k)
+    def cells(block: Any, col: Optional[int], words: int) -> Sequence[Tuple[list, list]]:
+        cols = hist.get(block)
+        if cols is None:
+            cols = hist[block] = {}
         if col is None:
             # a whole-block access conflicts with every column touched so far
-            return sorted(seen, key=str)
-        if (block, "*") in seen:
-            ks.append((block, "*"))
-        return ks
+            if None not in cols:
+                cols[None] = ([], [])
+            return list(cols.values())
+        if words == 1:
+            cell = cols.get(col)
+            if cell is None:
+                cell = cols[col] = ([], [])
+            whole = cols.get(None)
+            return (cell,) if whole is None else (cell, whole)
+        out = []
+        for c in range(col, col + words):
+            cell = cols.get(c)
+            if cell is None:
+                cell = cols[c] = ([], [])
+            out.append(cell)
+        whole = cols.get(None)
+        if whole is not None:
+            out.append(whole)
+        return out
 
     for j, inst in enumerate(instructions):
         op = inst.op
@@ -185,9 +244,7 @@ def dependency_edges(instructions: Sequence[Instruction]) -> List[List[int]]:
             preds[j] = sorted(dep)
             fence = j
             region = []
-            writers.clear()
-            readers.clear()
-            block_keys.clear()
+            hist.clear()
             host_chain = None
             dram_chain = None
             continue
@@ -198,46 +255,36 @@ def dependency_edges(instructions: Sequence[Instruction]) -> List[List[int]]:
             host_chain = j
             preds[j] = sorted(dep)
             continue
-        reads, writes = accesses(inst)
-        if op in (Opcode.DRAM_LOAD, Opcode.DRAM_STORE):
+        reads, writes = regions(inst)
+        if op in _DRAM_OPS:
             if dram_chain is not None:
                 dep.add(dram_chain)
             dram_chain = j
-            if inst.block is not None:
-                # DRAM staging couples the whole block clock in the
-                # executor: model it as a whole-block read+write.
-                from repro.analysis.checker import Access
-
-                whole = Access(inst.block, None, 1, None)
-                reads = list(reads) + [whole]
-                writes = list(writes) + [whole]
-        for acc in reads:
-            if acc.block is None:
-                continue
-            lo, hi = _row_bounds(acc.rows)
-            for k in keys_for(acc.block, acc.col, acc.words):
-                for i, wlo, whi in writers.get(k, ()):
-                    if wlo < hi and lo < whi:
-                        dep.add(i)
-                readers.setdefault(k, []).append((j, lo, hi))
-        for acc in writes:
-            if acc.block is None:
-                continue
-            lo, hi = _row_bounds(acc.rows)
-            for k in keys_for(acc.block, acc.col, acc.words):
-                wh = writers.setdefault(k, [])
-                rh = readers.setdefault(k, [])
+        for block, col, words, lo, hi in reads:
+            entry = (j, lo, hi)
+            for wh, rh in cells(block, col, words):
                 for i, wlo, whi in wh:
                     if wlo < hi and lo < whi:
                         dep.add(i)
-                for i, rlo, rhi in rh:
-                    if i != j and rlo < hi and lo < rhi:
-                        dep.add(i)
-                # covered-pruning: this write now transitively orders
-                # everything it spans.
-                wh[:] = [e for e in wh if not (lo <= e[1] and e[2] <= hi)]
-                rh[:] = [e for e in rh if e[0] == j or not (lo <= e[1] and e[2] <= hi)]
-                wh.append((j, lo, hi))
+                rh.append(entry)
+        for block, col, words, lo, hi in writes:
+            entry = (j, lo, hi)
+            for wh, rh in cells(block, col, words):
+                # one pass per history: overlaps become edges, and covered
+                # entries are pruned (this write now transitively orders
+                # everything it spans); j's own reads stay.
+                for history, own in ((wh, -1), (rh, j)):
+                    if history:
+                        kept = []
+                        for e in history:
+                            if e[0] != own:
+                                if e[1] < hi and lo < e[2]:
+                                    dep.add(e[0])
+                                if lo <= e[1] and e[2] <= hi:
+                                    continue
+                            kept.append(e)
+                        history[:] = kept
+                wh.append(entry)
         preds[j] = sorted(dep)
     return preds
 
@@ -311,109 +358,119 @@ def verify_order(preds: Sequence[Sequence[int]], order: Sequence[int]) -> List[s
 class _Sim:
     """Executor-faithful clock model used to guide the greedy choice.
 
-    Mirrors ``ChipExecutor``'s per-block clocks, transfer ports, switch
-    occupancy and host/DRAM channels (including BARRIER *not* resetting
-    switch load).  Only guides the scheduler — final makespans come from
-    real replay in :func:`schedule_plan`.
+    Mirrors ``ChipExecutor``'s per-block clocks, transfer ports (``port_r``
+    / ``port_w``, keyed by block), switch occupancy and host/DRAM channels
+    (including BARRIER *not* resetting switch load).  Only guides the
+    scheduler — final makespans come from real replay in
+    :func:`schedule_plan`.
+
+    ``ready[b]`` is ``max(block[b], port_r[b], port_w[b])``, updated on
+    every write of those clocks, so a compute op's start is one lookup.
+    Exact: between barriers the three clocks only grow (durations are
+    >= 0) and a BARRIER sets them all to ``now``, so every entry is also
+    at or past the barrier floor, the start of a block without one.
     """
 
     def __init__(self) -> None:
         self.block: Dict[Any, float] = {}
+        self.port_r: Dict[Any, float] = {}
+        self.port_w: Dict[Any, float] = {}
+        self.ready: Dict[Any, float] = {}
         self.sw: Dict[Hashable, float] = {}
-        self.port: Dict[Tuple[str, Any], float] = {}
         self.host = 0.0
         self.dram = 0.0
         self.barrier = 0.0
 
-    def _g(self, d: Dict[Any, float], k: Any) -> float:
-        return d.get(k, 0.0)
-
     def now(self) -> float:
-        vals = list(self.block.values()) + list(self.port.values())
-        vals += [self.host, self.dram]
-        return max(vals) if vals else 0.0
+        return max(max(self.ready.values(), default=0.0), self.host, self.dram)
 
     def compute_start(self, b: Any) -> float:
+        return self.ready.get(b, self.barrier)
+
+    def transfer_ready(self, t: Any) -> float:
+        """A TRANSFER's start before it queues behind its route's switches."""
         return max(
-            self._g(self.block, b),
-            self._g(self.port, ("r", b)),
-            self._g(self.port, ("w", b)),
+            self.port_r.get(t.src, 0.0),
+            self.port_w.get(t.dst, 0.0),
+            self.block.get(t.src, 0.0),
+            self.block.get(t.dst, 0.0),
             self.barrier,
         )
 
     def est(self, item: Item) -> float:
         kind = item[0]
         if kind == "c":  # block-local compute
-            return self.compute_start(item[1])
+            return self.ready.get(item[1], self.barrier)
         if kind == "t":  # TRANSFER (payload is the plan's _TransferStep)
             t = item[1]
-            ready = max(
-                self._g(self.port, ("r", t.src)),
-                self._g(self.port, ("w", t.dst)),
-                self._g(self.block, t.src),
-                self._g(self.block, t.dst),
-                self.barrier,
-            )
+            ready = self.transfer_ready(t)
+            sw = self.sw
             for k in t.keys:
-                ready = max(ready, self._g(self.sw, k))
+                ready = max(ready, sw.get(k, 0.0))
             return ready
         if kind == "l":  # LUT micro-sequence
             _, _dur, req, lut, keys = item
             ready = max(self.compute_start(req), self.compute_start(lut))
             for k in keys:
-                ready = max(ready, self._g(self.sw, k))
+                ready = max(ready, self.sw.get(k, 0.0))
             return ready
         if kind == "h":
             return max(self.host, self.barrier)
         if kind == "d":
             start = max(self.dram, self.barrier)
             if item[2] is not None:
-                start = max(start, self._g(self.block, item[2]))
+                start = max(start, self.block.get(item[2], 0.0))
             return start
         return self.now()  # barrier
 
-    def commit(self, item: Item) -> None:
+    def commit(self, item: Item, start: float) -> None:
+        """Advance the clocks for ``item`` starting at ``start``, which
+        must be ``est(item)`` against the current clocks."""
         kind = item[0]
         if kind == "c":
-            _, b, dur = item
-            self.block[b] = self.compute_start(b) + dur
+            b = item[1]
+            # start >= ready[b], so the new block clock is the new maximum.
+            self.block[b] = self.ready[b] = start + item[2]
         elif kind == "t":
             t = item[1]
-            ready = self.est(item)
-            finish = ready + t.dur
             if t.exclusive:
-                held = ready + t.read_t + t.wire
+                held = start + t.read_t + t.wire
                 for k in t.keys:
                     self.sw[k] = held
             else:
                 for k in t.keys:
-                    self.sw[k] = self._g(self.sw, k) + t.flit_train
-            self.port[("r", t.src)] = ready + t.read_t + t.flit_train
-            self.port[("w", t.dst)] = finish
+                    self.sw[k] = self.sw.get(k, 0.0) + t.flit_train
+            freed = start + t.read_t + t.flit_train
+            self.port_r[t.src] = freed
+            self.ready[t.src] = max(self.ready.get(t.src, 0.0), freed)
+            finish = start + t.dur
+            self.port_w[t.dst] = finish
+            self.ready[t.dst] = max(self.ready.get(t.dst, 0.0), finish)
         elif kind == "l":
             _, dur, req, lut, keys = item
-            finish = self.est(item) + dur
-            self.port[("w", req)] = finish
-            self.port[("r", lut)] = finish
+            finish = start + dur
+            self.port_w[req] = finish
+            self.ready[req] = max(self.ready.get(req, 0.0), finish)
+            self.port_r[lut] = finish
+            self.ready[lut] = max(self.ready.get(lut, 0.0), finish)
             for k in keys:
                 self.sw[k] = finish
         elif kind == "h":
-            self.host = max(self.host, self.barrier) + item[1]
+            self.host = start + item[1]
         elif kind == "d":
             _, dur, b = item
-            finish = self.est(item) + dur
+            finish = start + dur
             self.dram = finish
             if b is not None:
                 self.block[b] = finish
+                self.ready[b] = max(self.ready.get(b, 0.0), finish)
         else:  # barrier
-            now = self.now()
-            for b in self.block:
-                self.block[b] = now
-            for k2 in self.port:
-                self.port[k2] = now
-            self.host = now
-            self.dram = now
-            self.barrier = now
+            for clocks in (self.block, self.port_r, self.port_w, self.ready):
+                for b in clocks:
+                    clocks[b] = start
+            self.host = start
+            self.dram = start
+            self.barrier = start
 
 
 def sim_items(ex: "ChipExecutor", plan: ExecutionPlan) -> List[Item]:
@@ -426,10 +483,13 @@ def sim_items(ex: "ChipExecutor", plan: ExecutionPlan) -> List[Item]:
     ``("b",)`` barrier.
     """
     insts = plan.instructions
-    durs = plan.array["dur"]
+    durs = plan.array["dur"].tolist()
     transfers = iter(p for k, p in plan.steps if k == STEP_TRANSFER)
     items: List[Item] = []
-    for i, inst in enumerate(insts):
+    for inst, op_id, dur in zip(insts, plan.array["op"].tolist(), durs):
+        if op_id in _VECTORIZABLE_IDS:
+            items.append(("c", inst.block, dur))
+            continue
         op = inst.op
         if op is Opcode.TRANSFER:
             items.append(("t", next(transfers)))
@@ -437,10 +497,10 @@ def sim_items(ex: "ChipExecutor", plan: ExecutionPlan) -> List[Item]:
             items.append(("b",))
         elif op is Opcode.HOSTOP:
             items.append(("h", ex.host.time_s(inst.count)))
-        elif op in (Opcode.DRAM_LOAD, Opcode.DRAM_STORE):
+        elif op in _DRAM_OPS:
             n_bytes = inst.meta.get("bytes", inst.words * 4 * max(inst.n_rows, 1))
             items.append(("d", ex.chip.hbm.transfer_time_s(n_bytes), inst.block))
-        elif op is Opcode.LUT:
+        else:  # LUT
             dev = ex.costs.device
             keys, hops, extra, ic = ex.chip.transfer_path(inst.src_block, inst.block)
             per_row = (
@@ -449,8 +509,6 @@ def sim_items(ex: "ChipExecutor", plan: ExecutionPlan) -> List[Item]:
             )
             items.append(("l", inst.n_rows * per_row, inst.block,
                           inst.src_block, tuple(keys)))
-        else:
-            items.append(("c", inst.block, float(durs[i])))
     return items
 
 
@@ -626,7 +684,7 @@ def verify_resource_model(ex: "ChipExecutor", plan: ExecutionPlan) -> List[str]:
 
     sim = _Sim()
     for item in sim_items(ex, plan):
-        sim.commit(item)
+        sim.commit(item, sim.est(item))
     fresh = ChipExecutor(ex.chip, op_costs=ex.costs, host=ex.host, counters=True)
     report = fresh.run(plan, functional=False)
     out: List[str] = []
@@ -653,8 +711,9 @@ def verify_resource_model(ex: "ChipExecutor", plan: ExecutionPlan) -> List[str]:
         )
     compare("block_clock", sim.block, dict(fresh._block_clock),
             floor=sim.barrier)
-    compare("port_free", dict(sim.port), dict(fresh._port_free),
-            floor=sim.barrier)
+    ports = {**{("r", b): v for b, v in sim.port_r.items()},
+             **{("w", b): v for b, v in sim.port_w.items()}}
+    compare("port_free", ports, dict(fresh._port_free), floor=sim.barrier)
     compare("switch_free", sim.sw, dict(fresh._switch_free))
     if sim.host != fresh._host_clock:
         out.append(f"host clock: model {sim.host!r} != executor {fresh._host_clock!r}")
@@ -694,30 +753,21 @@ def plan_slack(
     """Per-instruction scheduler slack, in seconds (emission order).
 
     ``slack[j]`` is the instruction's modeled start under the emission
-    order (the ``_Sim`` walk) minus its critical-path earliest start (the
-    resource-free DAG bound ``est[j] = max over preds(est[i] + dur[i])``).
-    Zero means the instruction sits on the critical path as emitted; large
-    values mark work the scheduler (or a future multi-chip sharding) could
-    pull earlier.  Always >= 0 up to float rounding: resources only ever
-    delay an instruction past its dependency bound.
+    order (the ``_Sim`` walk) minus its typed earliest start
+    (:func:`earliest_starts`, the dependency bound that charges an edge
+    only the wait the executor enforces).  Zero means the instruction
+    sits on the critical path as emitted; large values mark work the
+    scheduler (or a future multi-chip sharding) could pull earlier.
+    Always >= 0 up to float rounding: the bound holds for any legal order,
+    emission order included.
     """
-    insts = plan.instructions
-    n = len(insts)
-    if preds is None:
-        preds = dependency_edges(insts)
     items = sim_items(ex, plan)
-    dur_of = _item_durations(items)
     sim = _Sim()
-    starts = np.empty(n)
+    starts = np.empty(len(items))
     for j, item in enumerate(items):
-        starts[j] = sim.est(item)
-        sim.commit(item)
-    earliest = np.zeros(n)
-    for j in range(n):
-        ps = preds[j]
-        if ps:
-            earliest[j] = max(earliest[i] + dur_of[i] for i in ps)
-    return starts - earliest
+        starts[j] = start = sim.est(item)
+        sim.commit(item, start)
+    return starts - earliest_starts(ex, plan, preds)
 
 
 # --------------------------------------------------------------------- #
@@ -742,9 +792,8 @@ def schedule_order(
     if preds is None:
         preds = dependency_edges(insts)
     succs: List[List[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
+    indeg = [len(ps) for ps in preds]
     for j, ps in enumerate(preds):
-        indeg[j] = len(ps)
         for i in ps:
             succs[i].append(j)
 
@@ -754,10 +803,11 @@ def schedule_order(
     dur_of = _item_durations(items)
     cp = [0.0] * n
     for i in range(n - 1, -1, -1):
-        tail = max((cp[j] for j in succs[i]), default=0.0)
-        cp[i] = dur_of[i] + tail
+        succ = succs[i]
+        cp[i] = dur_of[i] + (max([cp[j] for j in succ]) if succ else 0.0)
 
     sim = _Sim()
+    ready = sim.ready
     order: List[int] = []
     heap: List[Tuple[float, float, int]] = []
     for j in range(n):
@@ -765,11 +815,14 @@ def schedule_order(
             heapq.heappush(heap, (sim.est(items[j]), -cp[j], j))
     while heap:
         est0, negcp, j = heapq.heappop(heap)
-        est = sim.est(items[j])
+        item = items[j]
+        # a compute op's start is one lookup (see _Sim)
+        est = (ready.get(item[1], sim.barrier) if item[0] == "c"
+               else sim.est(item))
         if est > est0 and heap and heap[0][0] < est:
             heapq.heappush(heap, (est, negcp, j))
             continue
-        sim.commit(items[j])
+        sim.commit(item, est)
         order.append(j)
         for s in succs[j]:
             indeg[s] -= 1
@@ -795,15 +848,19 @@ def _replay_makespan(ex: "ChipExecutor", plan: ExecutionPlan) -> float:
 def schedule_plan(ex: "ChipExecutor", plan: ExecutionPlan) -> ExecutionPlan:
     """Makespan-schedule ``plan``; returns the better of the two orders.
 
-    Builds the dependency DAG, list-schedules, re-lowers the reordered
+    Builds the dependency DAG, list-schedules, lowers the reordered
     stream and measures both plans by real replay.  The scheduled plan is
     kept only if it strictly beats emission order (best-of fallback:
-    the result's modeled makespan is never worse than the input's).  The
+    the result's modeled makespan is never worse than the input's).  A
+    plan lowered before the chip's routes changed is lowered again first,
+    so either result carries the current ``routing_epoch``.  The
     returned plan carries ``schedule_stats``::
 
         {"emission_makespan_s", "scheduled_makespan_s", "improvement",
          "kept", "n_reordered", "permutation"}
     """
+    if plan.routing_epoch != ex.chip.routing_epoch:
+        plan = lower_program(ex.chip, ex.costs, plan.instructions)
     insts = plan.instructions
     preds = dependency_edges(insts)
     order = schedule_order(ex, plan, preds)
@@ -823,7 +880,13 @@ def schedule_plan(ex: "ChipExecutor", plan: ExecutionPlan) -> ExecutionPlan:
             raise RuntimeError(
                 "illegal schedule: " + "; ".join(violations[:3])
             )
-        sched = lower_program(ex.chip, ex.costs, [insts[i] for i in order])
+        # the cost rows and transfer steps do not depend on order and are
+        # never mutated: permute them; only the steps are assembled again.
+        steps = iter(p for k, p in plan.steps if k == STEP_TRANSFER)
+        transfers = {i: next(steps) for i, inst in enumerate(insts)
+                     if inst.op is Opcode.TRANSFER}
+        sched = _assemble(ex.chip, [insts[i] for i in order], plan.array[order],
+                          [transfers[i] for i in order if i in transfers])
         sched_s = _replay_makespan(ex, sched)
         if sched_s < emission_s:
             stats["scheduled_makespan_s"] = sched_s

@@ -188,6 +188,22 @@ class TestSchedulerCrossCheck:
         assert len(slack) == len(plan.instructions)
         assert float(np.min(slack)) >= -1e-12
 
+    def test_plan_slack_charges_an_edge_only_the_enforced_wait(self):
+        """A TRANSFER frees its source read port after ``read_t +
+        flit_train``, so an ADD that then overwrites the source column
+        starts before the transfer ends: on the critical path, slack 0
+        (charging the edge the full transfer gave -48 ns)."""
+        from repro.pim.isa import Instruction, Opcode
+
+        ex = ChipExecutor(PimChip(CHIP_CONFIGS["512MB"]))
+        plan = ex.lower([
+            Instruction(Opcode.TRANSFER, block=1, src_block=0, rows=(0, 32),
+                        src_rows=(0, 32), dst=0, src1=0, words=1),
+            Instruction(Opcode.ADD, block=0, rows=(0, 32), dst=0, src1=1,
+                        src2=2),
+        ])
+        assert plan_slack(ex, plan).tolist() == [0.0, 0.0]
+
 
 # --------------------------------------------------------------------- #
 # makespan attribution

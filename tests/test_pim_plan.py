@@ -283,6 +283,30 @@ class TestStaleRoutes:
         assert chip.routing_epoch == e0 + 1
         assert mapper.block_of(int(mapper.elements[0])) != 0
 
+    def test_schedule_plan_relowers_a_stale_plan(self, acoustic_program):
+        """Scheduling a plan lowered before a routing-epoch bump schedules
+        a fresh lowering: the result, kept or not, carries the current
+        epoch and replays without re-lowering (keeping its stats)."""
+        from repro.pim.isa import Instruction
+        from repro.pim.schedule import schedule_plan
+
+        chain = [Instruction(Opcode.ADD, block=0, rows=(0, 8), dst=1,
+                             src1=1, src2=2) for _ in range(3)]
+        for program, kept in ((acoustic_program, True), (chain, False)):
+            ex = ChipExecutor(PimChip(CHIP_CONFIGS["2GB"]))
+            stale = ex.lower(program)
+            ex.chip.invalidate_routes()
+            sched = schedule_plan(ex, stale)
+            fresh = schedule_plan(ex, ex.lower(program))
+            assert sched.schedule_stats["kept"] is kept
+            assert sched.routing_epoch == ex.chip.routing_epoch
+            assert sched.schedule_stats == fresh.schedule_stats
+            ex.reset_clocks()
+            rep = ex.run(sched, functional=False)
+            assert rep.emission_makespan_cycles == (
+                sched.schedule_stats["emission_makespan_s"]
+                * ex.chip.config.clock_hz)
+
     def test_plan_records_lowering_epoch(self, acoustic_program):
         ex = ChipExecutor(PimChip(CHIP_CONFIGS["2GB"]))
         ex.chip.invalidate_routes()
@@ -650,12 +674,35 @@ def _ls_instruction(block, shape, value):
                        src2=src2, tag="integration")
 
 
+def _ls_transfer(blocks):
+    """A TRANSFER between two of ``blocks`` (often on different tiles):
+    a row range or an index array without repeats on each side."""
+    from repro.pim.isa import Instruction
+
+    def rows(n):
+        return st.one_of(
+            st.integers(0, LS_ROWS - n).map(lambda r0: (r0, r0 + n)),
+            st.permutations(range(LS_ROWS)).map(lambda p: np.array(p[:n])))
+
+    def build(t):
+        (src, dst), words, n = t
+        col = st.integers(0, LS_COLS - words)
+        return st.tuples(rows(n), rows(n), col, col).map(
+            lambda r: Instruction(Opcode.TRANSFER, block=dst, src_block=src,
+                                  rows=r[0], src_rows=r[1], dst=r[2],
+                                  src1=r[3], words=words, tag="flux"))
+
+    return st.tuples(
+        st.lists(st.sampled_from(blocks), min_size=2, max_size=2, unique=True),
+        st.integers(1, 2), st.integers(1, LS_ROWS)).flatmap(build)
+
+
 @st.composite
 def _lockstep_streams(draw):
     """``(blocks, stream, seed)``: one or two compute segments whose blocks
     run windows of one shared template, so many ops line up across blocks,
     with per-block divergences, unequal lengths and out-of-step starts,
-    interleaved in a random order."""
+    interleaved in a random order, with TRANSFERs between the blocks."""
     from repro.pim.isa import barrier
 
     cfg = _lockstep_chip().config
@@ -688,6 +735,8 @@ def _lockstep_streams(draw):
     for k in order:
         stream.append(per_block[k][cursor[k]])
         cursor[k] += 1
+    for t in draw(st.lists(_ls_transfer(blocks), max_size=8)):
+        stream.insert(draw(st.integers(0, len(stream))), t)
     split = draw(st.integers(0, len(stream)))
     if split and draw(st.booleans()):  # a BARRIER ends the first segment
         stream.insert(split, barrier())
@@ -789,13 +838,56 @@ class TestLockstepDifferential:
             Instruction(Opcode.BROADCAST, block=b, rows=(0, 3), dst=1,
                         value=np.zeros(2, np.float32)),
         ][which]
-        stream = [i for i in stream if i.op is not Opcode.BARRIER]
+        # one compute segment: nothing may run before the bad op's checks
+        stream = [i for i in stream
+                  if i.op not in (Opcode.BARRIER, Opcode.TRANSFER)]
         stream.insert(data.draw(st.integers(0, len(stream))), bad)
         _ls_load(chip, blocks, seed)
         before = _ls_digests(chip, blocks)
         with pytest.raises((IndexError, ValueError)):
             ChipExecutor(chip).run(stream, functional=True)
         assert _ls_digests(chip, blocks) == before
+
+
+def _sched_check(blocks, stream, seed):
+    """``schedule_plan`` on a random stream: a legal permutation whose
+    functional replay equals the emission plan's by block digest, with
+    dependency span <= scheduled makespan <= emission makespan."""
+    from repro.pim.schedule import (
+        critical_path_span,
+        dependency_edges,
+        schedule_plan,
+        verify_order,
+    )
+
+    chip_e, chip_s = _lockstep_chip(), _lockstep_chip()
+    for chip in (chip_e, chip_s):
+        _ls_load(chip, blocks, seed)
+    ex_e, ex_s = ChipExecutor(chip_e), ChipExecutor(chip_s)
+    plan = ex_s.lower(stream)
+    sched = schedule_plan(ex_s, plan)
+    stats = sched.schedule_stats
+    preds = dependency_edges(plan.instructions)
+    assert verify_order(preds, stats["permutation"]) == []
+    if stats["kept"]:
+        assert all(a is plan.instructions[i] for a, i in
+                   zip(sched.instructions, stats["permutation"]))
+    span = critical_path_span(ex_s, plan, preds)
+    assert span <= stats["scheduled_makespan_s"] <= stats["emission_makespan_s"]
+    ex_e.run(ex_e.lower(stream), functional=True)
+    replay = ex_s.run(sched, functional=True)
+    assert replay.total_time_s == stats["scheduled_makespan_s"]
+    assert _ls_digests(chip_s, blocks) == _ls_digests(chip_e, blocks)
+
+
+class TestScheduledDifferential:
+    """The makespan scheduler on random streams of compute ops and
+    TRANSFERs between the blocks (the lockstep-differential generator)."""
+
+    @given(_lockstep_streams())
+    @settings(max_examples=100, deadline=None)
+    def test_scheduled_equals_emission_order(self, case):
+        _sched_check(*case)
 
 
 class TestScheduledLockstep:
