@@ -101,26 +101,6 @@ def test_transfer_replay_throughput(benchmark):
     assert rep.transfers == 1000
 
 
-@pytest.mark.benchmark(group="micro")
-def test_folded_step_throughput(benchmark):
-    """Functional §6.1 folding: one full time-step streamed in windows."""
-    from repro.core.folding import FoldedAcousticRunner
-
-    mesh = HexMesh.from_refinement_level(2)
-    elem = ReferenceElement(1)
-    mat = AcousticMaterial.homogeneous(mesh.n_elements)
-    runner = FoldedAcousticRunner(mesh, elem, mat, CHIP_CONFIGS["512MB"], 2)
-    state = np.zeros((4, mesh.n_elements, elem.n_nodes), dtype=np.float32)
-    state[0, 0, 0] = 1.0
-    runner.set_state(state)
-
-    def run():
-        return runner.step(1e-3)
-
-    rep = benchmark.pedantic(run, rounds=2, iterations=1)
-    assert rep.n_instructions > 0
-
-
 # --------------------------------------------------------------------- #
 # perf-regression guard (methodology lives in repro.eval.bench, shared
 # with the `repro bench` subcommand and the CI perf job)

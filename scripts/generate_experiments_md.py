@@ -3,13 +3,14 @@
 Usage: python scripts/generate_experiments_md.py [output-path]
 
 Runs every registered experiment at the paper's geometry (order-7
-elements, 1024 time-steps) and writes the paper-vs-measured record.
+elements, 1024 time-steps) and writes the paper-vs-measured record.  The
+output holds no wall-clock, so a re-run on an unchanged tree writes the
+same bytes; CI regenerates it and fails on any diff.
 """
 
 from __future__ import annotations
 
 import sys
-import time
 
 from repro.eval import EXPERIMENTS, run_experiment
 
@@ -57,14 +58,13 @@ Known quantitative deviations (and why we kept them):
 def main() -> None:
     out_path = sys.argv[1] if len(sys.argv) > 1 else "EXPERIMENTS.md"
     parts = [PREAMBLE]
-    t0 = time.time()
     for name in EXPERIMENTS:
         print(f"running {name} ...", flush=True)
         table = run_experiment(name)
         parts.append(f"\n## {name}\n\n```\n{table.render()}\n```\n")
     parts.append(
-        f"\n---\ngenerated in {time.time() - t0:.1f}s on the repository's "
-        "pure-Python models (no GPU, no memristor hardware).\n"
+        "\n---\ngenerated on the repository's pure-Python models "
+        "(no GPU, no memristor hardware).\n"
     )
     with open(out_path, "w") as fh:
         fh.write("".join(parts))

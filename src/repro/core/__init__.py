@@ -11,8 +11,8 @@ This subpackage is the paper's primary contribution:
   (Figs. 8/9);
 * :mod:`planner` — the capacity planner that reproduces Table 5's
   naive / expansion / batching configuration matrix;
-* :mod:`batching` — §6.1 folding, including the Fig. 7 sliced Flux
-  schedule;
+* :mod:`batching` — the §6.1 DRAM traffic of a batched deployment (the
+  batched run itself is :func:`repro.pim.multichip.single_chip_batched_makespan`);
 * :mod:`pipeline` — §6.3 overlap of host pre-processing, neighbor
   fetches and compute (Figs. 10/13);
 * :mod:`compiler` / :mod:`runtime` — end-to-end: benchmark + chip ->
@@ -24,11 +24,10 @@ This subpackage is the paper's primary contribution:
 from repro.core.layout import ElementLayout, AXIS_NAMES
 from repro.core.mapper import ElementMapper, morton3_encode, morton3_decode
 from repro.core.planner import Plan, plan_configuration, TABLE5_BENCHMARKS
-from repro.core.batching import flux_slice_schedule, batch_dram_traffic, BatchStep
+from repro.core.batching import batch_dram_traffic
 from repro.core.pipeline import StageTimes, pipelined_stage_time, serial_stage_time, pipeline_timeline
 from repro.core.compiler import WavePimCompiler, CompiledBenchmark
 from repro.core.runtime import PimRunEstimate, estimate_benchmark
-from repro.core.folding import FoldedAcousticRunner
 
 __all__ = [
     "ElementLayout",
@@ -39,9 +38,7 @@ __all__ = [
     "Plan",
     "plan_configuration",
     "TABLE5_BENCHMARKS",
-    "flux_slice_schedule",
     "batch_dram_traffic",
-    "BatchStep",
     "StageTimes",
     "pipelined_stage_time",
     "serial_stage_time",
@@ -50,5 +47,4 @@ __all__ = [
     "CompiledBenchmark",
     "PimRunEstimate",
     "estimate_benchmark",
-    "FoldedAcousticRunner",
 ]

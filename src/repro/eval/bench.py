@@ -258,7 +258,8 @@ def measure_shard_scaling(n_shards: int | None = None,
 
     Runs the capacity-axis step workload (64 elements on a 48-block
     proxy chip, :mod:`repro.workloads.sharding`) both ways: single-chip
-    Fig. 7 batching vs ``n_shards`` chips with pipelined halo exchange,
+    §6.1 batching (the shards taking turns on one chip) vs ``n_shards``
+    chips with pipelined halo exchange,
     counters on, so the compute/exchange overlap is measured from the
     recorded intervals.  Also records the r=6 capacity story: the mesh
     the single-chip mapper rejects outright and the shard count that

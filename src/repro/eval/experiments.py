@@ -67,7 +67,6 @@ __all__ = [
     "sec31_gpu_vs_cpu",
     "sec7_summary",
     "energy_breakdown",
-    "plan_throughput",
 ]
 
 #: time-steps per benchmark run (paper §3.1 uses 1024).
@@ -683,96 +682,6 @@ def energy_breakdown(order: int = 7, n_steps: int = N_STEPS) -> Table:
 
 
 # --------------------------------------------------------------------- #
-# Extension: executor-mode throughput (plan lowering, beyond the paper)
-# --------------------------------------------------------------------- #
-
-
-def plan_throughput(order: int = 2, level: int = 1, rounds: int = 3) -> Table:
-    """Wall-clock of the ChipExecutor paths on one analytic step.
-
-    An extension beyond the paper's figures: the simulator's own timing
-    engine run over the same compiled acoustic time-step stream as
-    per-instruction serial dispatch (the audit reference), as the lowered
-    :class:`~repro.pim.plan.ExecutionPlan` warm replay (the path every
-    fault-free run takes), and as the makespan-scheduled plan — plus the one-time lowering
-    and scheduling costs.  The serial and plan TimingReports are asserted
-    equal before anything is tabulated, so every speedup row is also a
-    bit-identity witness; the scheduled row additionally reports the
-    modeled-makespan improvement.
-    """
-    from repro.core.kernels.acoustic import AcousticOneBlockKernels
-    from repro.core.mapper import ElementMapper
-    from repro.dg import AcousticMaterial, HexMesh, ReferenceElement
-    from repro.eval.bench import best_of
-    from repro.pim.chip import PimChip
-    from repro.pim.executor import ChipExecutor
-    from repro.pim.schedule import schedule_plan
-
-    mesh = HexMesh.from_refinement_level(level)
-    elem = ReferenceElement(order)
-    mat = AcousticMaterial.homogeneous(mesh.n_elements)
-    cfg = CHIP_CONFIGS["512MB"]
-    mapper = ElementMapper(mesh.m, cfg, 1)
-    kern = AcousticOneBlockKernels(mesh, elem, mat, mapper, "riemann")
-    ex = ChipExecutor(PimChip(cfg))
-    ex.run(kern.setup() + kern.load_state(
-        np.zeros((4, mesh.n_elements, elem.n_nodes), dtype=np.float32)
-    ), functional=True)
-    step = kern.time_step(1e-4)
-    plan = ex.lower(step)
-
-    # block/port clocks persist across runs; reset so each mode scores the
-    # stream from the same t=0 and the reports are comparable.
-    reports = {}
-    for mode, run in (
-        ("serial", lambda: ex.run(step, functional=False, serial=True)),
-        ("plan", lambda: ex.run(plan, functional=False)),
-    ):
-        ex.reset_clocks()
-        reports[mode] = run()
-    if reports["plan"] != reports["serial"]:
-        raise AssertionError(
-            "plan TimingReport diverged from serial on the same stream"
-        )
-    ex.reset_clocks()
-    sched = schedule_plan(ex, plan)
-    stats = sched.schedule_stats
-
-    lower_s = best_of(lambda: ex.lower(step), rounds)
-    times = {
-        "serial": best_of(lambda: ex.run(step, functional=False, serial=True), rounds),
-        "plan (warm)": best_of(lambda: ex.run(plan, functional=False), rounds),
-        "scheduled (warm)": best_of(lambda: ex.run(sched, functional=False), rounds),
-    }
-    t = Table(
-        f"Extension: executor-mode throughput (acoustic level-{level}, "
-        f"order-{order}, {len(step)} instructions)",
-        ["mode", "wall_ms", "speedup_vs_serial", "insts_per_s"],
-    )
-    for mode, wall in times.items():
-        t.add(
-            mode=mode,
-            wall_ms=round(wall * 1e3, 3),
-            speedup_vs_serial=round(times["serial"] / wall, 2),
-            insts_per_s=int(len(step) / wall),
-        )
-    t.add(mode="lowering (one-time)", wall_ms=round(lower_s * 1e3, 3),
-          speedup_vs_serial="-", insts_per_s="-")
-    t.notes.append(
-        f"plan: {plan.n_segments} segments + {plan.n_transfers} transfers + "
-        f"{plan.n_dispatch} dispatched ({plan.vectorized_fraction:.0%} of the "
-        "stream vectorized); serial and plan TimingReports verified "
-        "bit-identical"
-    )
-    t.notes.append(
-        f"scheduler: modeled makespan {stats['improvement']:.2f}x vs emission "
-        f"order ({stats['n_reordered']} of {len(step)} instructions moved; "
-        f"kept={stats['kept']})"
-    )
-    return t
-
-
-# --------------------------------------------------------------------- #
 # Extension: fault-injection sweep (robustness, beyond the paper)
 # --------------------------------------------------------------------- #
 
@@ -840,7 +749,6 @@ EXPERIMENTS = {
     "sec31": sec31_gpu_vs_cpu,
     "sec7_summary": sec7_summary,
     "energy_breakdown": energy_breakdown,
-    "plan_throughput": plan_throughput,
     "fault_sweep": fault_sweep,
 }
 

@@ -32,7 +32,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-__all__ = ["Opcode", "Instruction", "LutInstructionFormat", "ARITHMETIC_OPS", "barrier"]
+__all__ = [
+    "Opcode", "Instruction", "LutInstructionFormat", "ARITHMETIC_OPS",
+    "barrier", "dram_swap",
+]
 
 
 class Opcode(enum.Enum):
@@ -116,6 +119,15 @@ class Instruction:
 def barrier(tag: str = "sync") -> Instruction:
     """A BARRIER phase-synchronization marker."""
     return Instruction(Opcode.BARRIER, tag=tag)
+
+
+def dram_swap(op: Opcode, n_bytes: int) -> Instruction:
+    """A DRAM_LOAD (swap in) or DRAM_STORE (swap out) of a batch's state.
+
+    One off-chip transaction (§6.1, Fig. 6).  It names no block: it streams
+    a whole batch, so it holds the DRAM channel, not one block's clock.
+    """
+    return Instruction(op, tag="dram:swap", meta={"bytes": int(n_bytes)})
 
 
 class LutInstructionFormat:

@@ -27,6 +27,12 @@ Exchanging ghost-element block state right after integration therefore
 reproduces single-chip semantics bit-for-bit — verified by the PL005
 halo-coverage audit (:mod:`repro.analysis.halo`) plus the N-shard ==
 1-shard digest sweep in the tests.
+
+The same partition, audit and per-shard plans also run the paper's
+single-chip batching: :func:`single_chip_batched_makespan` replays the
+shards as batches that take turns on one chip, swapping state and halos
+through DRAM, so N shards on N chips and N batches on one chip are one
+code path.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from repro.dg.timestepping import LSRK45
 from repro.obs import get_logger
 from repro.pim.chip import PimChip
 from repro.pim.executor import ChipExecutor, TimingReport
-from repro.pim.isa import barrier
+from repro.pim.isa import Opcode, barrier, dram_swap
 from repro.pim.params import ChipConfig
 
 __all__ = [
@@ -135,7 +141,7 @@ def shards_needed(mesh: HexMesh, chip: ChipConfig,
     g = int(blocks_per_element)
     n = 1
     while n <= max_shards:
-        if n >= mesh.n_elements:
+        if n > mesh.n_elements:
             return None
         sharding = partition_mesh(mesh, n)
         worst = max(
@@ -156,36 +162,59 @@ def single_chip_batched_makespan(
     dt: float = 1e-4,
     n_steps: int = 1,
 ) -> Tuple[float, int]:
-    """Modeled makespan of the single-chip Fig. 7 batching baseline.
+    """Modeled makespan of the mesh run in batches that take turns on one chip.
 
-    When the mesh overflows the chip, the single-chip path runs Morton
-    batches sequentially; the makespan is the sum of per-batch step
-    makespans.  Conservative in the baseline's favor: DRAM batch-swap
-    staging is excluded, and cross-batch flux faces are skipped rather
-    than priced (the kernel emitters skip off-mapper neighbors), so the
-    sharded speedup measured against this is an underestimate.
-    Returns ``(makespan_s, n_batches)``.
+    Paper §6.1 batching, as sharding in time: ``shards_needed`` sets the
+    batch count, :class:`ShardedExecutor` partitions the mesh, audits the
+    halos (PL005) and lowers each batch's plans, and every RK stage
+    replays the batches one after another on one chip clock.  A batch
+    swaps in its owned variables, its owned RK register and its halo
+    variables, runs volume, flux and integration over its owned elements
+    — so every face is computed, the cross-batch ones against the swapped-in
+    halo — and swaps its owned variables and RK register out.  Flux reads
+    only the neighbours' variable columns, so the halo needs no RK
+    register.  The swaps are DRAM transactions priced by the chip's HBM
+    model; a single batch keeps its state resident and swaps nothing.
+    Analytic only: a batch's data path is exactly a shard's, which the
+    N-shard digest sweep pins.  Returns ``(makespan_s, n_batches)``.
     """
-    from repro.core.mapper import ElementMapper
-
     g = int(blocks_per_element)
-    per_batch = chip_config.n_blocks // g
-    if per_batch < 1:
+    n_batches = shards_needed(mesh, chip_config, g)
+    if n_batches is None:
         raise ValueError(
-            f"chip {chip_config.name} cannot hold even one element group "
-            f"(g={g} > {chip_config.n_blocks} blocks)")
-    order = morton_order(mesh.m)
-    n_batches = -(-mesh.n_elements // per_batch)
-    total = 0.0
-    for chunk in np.array_split(order, n_batches):
-        mapper = ElementMapper(mesh.m, chip_config, g, elements=chunk)
-        kern = kernel_factory(mapper)
-        ex = ChipExecutor(PimChip(chip_config))
-        plan = ex.lower(kern.time_step(dt))
-        for _ in range(n_steps):
-            ex.run(plan, functional=False)
-        total += ex.now()
-    return total, n_batches
+            f"chip {chip_config.name} cannot hold even one batch of the "
+            f"{mesh.n_elements}-element mesh with its halo "
+            f"(g={g}, {chip_config.n_blocks} blocks)")
+    sx = ShardedExecutor(mesh, chip_config, kernel_factory,
+                         n_shards=n_batches, blocks_per_element=g)
+    sx.lower_step(dt)
+    per_element = sx.halo_bytes_per_element
+    stage_plans = []
+    for sh in sx.shards:
+        ex = sh.executor
+        swap_in: Tuple[Any, ...] = ()
+        swap_out: Tuple[Any, ...] = ()
+        if n_batches > 1:
+            # owned variables + owned RK register move both ways, the halo
+            # variables only in.
+            owned_bytes = 2 * sh.mapper.n_owned * per_element
+            swap_in = (ex.lower([
+                dram_swap(Opcode.DRAM_LOAD,
+                          owned_bytes + sh.mapper.n_halo * per_element),
+                barrier(),
+            ]),)
+            swap_out = (ex.lower([dram_swap(Opcode.DRAM_STORE, owned_bytes)]),)
+        stage_plans.append([swap_in + (sh.vol_plan, sh.flux_plan, int_plan)
+                            + swap_out for int_plan in sh.int_plans])
+    t = 0.0
+    for _ in range(n_steps):
+        for stage in range(LSRK45.n_stages):
+            for sh, plans in zip(sx.shards, stage_plans):
+                sh.executor.sync_at(t)
+                for plan in plans[stage]:
+                    sh.executor.run(plan, functional=False)
+                t = sh.executor.now()
+    return t, n_batches
 
 
 @dataclass

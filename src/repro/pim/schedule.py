@@ -525,36 +525,41 @@ def _item_durations(items: Sequence[Item]) -> List[float]:
 # typed-latency earliest starts: the sound dependency span bound
 # --------------------------------------------------------------------- #
 
-def _publishes(item: Item, dur: float) -> List[Tuple[ClockKey, float]]:
+def _publishes(item: Item, dur: float) -> List[Tuple[ClockKey, Tuple[float, ...]]]:
     """Clock entries ``item`` writes, with latency relative to its start.
 
-    Mirrors the executor's commit semantics exactly.  H-tree switch loads
-    accumulate (``+= flit_train``) and carry no start-relative guarantee,
-    so non-exclusive transfers publish nothing through their switches.
+    Mirrors the executor's commit semantics exactly.  A latency is the
+    executor's own addends, added to the start in its order
+    (``ready + read_t + flit_train``, not ``ready + (read_t + flit_train)``):
+    floating-point addition is monotone but not associative, so only the
+    same addition order keeps the bound at or below the measured clock.
+    H-tree switch loads accumulate (``+= flit_train``) and carry no
+    start-relative guarantee, so non-exclusive transfers publish nothing
+    through their switches.
     """
     kind = item[0]
     if kind == "c":
-        return [(("b", item[1]), dur)]
+        return [(("b", item[1]), (dur,))]
     if kind == "t":
         t = item[1]
-        out: List[Tuple[ClockKey, float]] = [
-            (("r", t.src), t.read_t + t.flit_train),
-            (("w", t.dst), t.dur),
+        out: List[Tuple[ClockKey, Tuple[float, ...]]] = [
+            (("r", t.src), (t.read_t, t.flit_train)),
+            (("w", t.dst), (t.dur,)),
         ]
         if t.exclusive:
-            out.extend((("s", k), t.read_t + t.wire) for k in t.keys)
+            out.extend((("s", k), (t.read_t, t.wire)) for k in t.keys)
         return out
     if kind == "l":
         _, d, req, lut, keys = item
-        out = [(("w", req), d), (("r", lut), d)]
-        out.extend((("s", k), d) for k in keys)
+        out = [(("w", req), (d,)), (("r", lut), (d,))]
+        out.extend((("s", k), (d,)) for k in keys)
         return out
     if kind == "h":
-        return [("host", dur)]
+        return [("host", (dur,))]
     if kind == "d":
-        out = [("dram", dur)]
+        out = [("dram", (dur,))]
         if item[2] is not None:
-            out.append((("b", item[2]), dur))
+            out.append((("b", item[2]), (dur,)))
         return out
     return []  # barrier: handled via the fence special case
 
@@ -631,14 +636,13 @@ def earliest_starts(
                     if est[i] > e:
                         e = float(est[i])
                     continue
-                best = -1.0
                 for key, lat in pubs[i]:
-                    if key in cj and lat > best:
-                        best = lat
-                if best >= 0.0:
-                    c = est[i] + best
-                    if c > e:
-                        e = c
+                    if key in cj:
+                        c = est[i]
+                        for part in lat:
+                            c += part
+                        if c > e:
+                            e = c
         est[j] = e
     return est
 

@@ -2,13 +2,15 @@
 
 Sharding pays off on the *capacity* axis: the level-2 step workload's 64
 elements are deliberately paired with a proxy chip of 48 blocks (3 tiles
-x 16 blocks), so a single chip must run two sequential Morton batches
-(the paper's Fig. 7 batching), while each of 4 shards holds its 16 owned
-elements plus exactly 32 ghost elements — a full, symmetric chip — and
-all four run concurrently.  A fitting workload would shard at ~1.0x
-(makespan is block-bound: max per-element serial work), so this workload
-is the honest one: the speedup measures chips added to a mesh one chip
-cannot hold, which is precisely the r=6-and-beyond scaling story.
+x 16 blocks).  Each of 4 shards holds its 16 owned elements plus exactly
+32 ghost elements — a full, symmetric chip — and all four run
+concurrently, while a single chip must run the same four Morton shards
+as batches that take turns on it (the paper's §6.1 batching; two batches
+with their halos would need 64 blocks).  A fitting workload would shard
+at ~1.0x (makespan is block-bound: max per-element serial work), so this
+workload is the honest one: the speedup measures chips added to a mesh
+one chip cannot hold, which is precisely the r=6-and-beyond scaling
+story.
 """
 
 from __future__ import annotations

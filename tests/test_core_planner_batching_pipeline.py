@@ -1,16 +1,10 @@
-"""Planner (Table 5), batching schedules (Figs. 6/7), pipeline (Fig. 10)."""
+"""Planner (Table 5), batching DRAM traffic (§6.1), pipeline (Fig. 10)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batching import (
-    BatchStep,
-    batch_dram_traffic,
-    covered_y_interfaces,
-    flux_slice_schedule,
-    volume_batch_steps,
-)
+from repro.core.batching import batch_dram_traffic
 from repro.core.pipeline import (
     StageTimes,
     pipeline_speedup,
@@ -61,67 +55,7 @@ class TestPlanner:
         assert plan.elements_per_batch == 1024
 
 
-class TestFluxSliceSchedule:
-    def test_unbatched_degenerate(self):
-        steps = flux_slice_schedule(8, 8)
-        actions = [s.action for s in steps]
-        assert actions == ["load", "flux", "flux", "flux", "flux", "store"]
-
-    def test_paper_example_32_16(self):
-        """Fig. 7's 32-slice model with 16 resident slices."""
-        steps = flux_slice_schedule(32, 16)
-        # the first three flux steps are x, z (intra-slice) and y(-1)
-        flux_steps = [s for s in steps if s.action == "flux"]
-        assert flux_steps[0].axis == "x"
-        assert flux_steps[1].axis == "z"
-        assert flux_steps[2].axis == "y" and flux_steps[2].normals == (-1,)
-        # a single slice (16) is prefetched before the +1 pass (step 5)
-        loads = [s for s in steps if s.action == "load"]
-        assert any(s.slices == (16,) for s in loads)
-
-    @pytest.mark.parametrize("n,w", [(8, 4), (16, 4), (32, 16), (32, 8), (8, 8)])
-    def test_all_y_interfaces_covered_once(self, n, w):
-        steps = flux_slice_schedule(n, w)
-        covered = covered_y_interfaces(steps, n)
-        expected = [(s, s + 1) for s in range(n - 1)]
-        assert sorted(covered) == expected
-        assert len(covered) == len(set(covered))  # exactly once
-
-    @pytest.mark.parametrize("n,w", [(8, 4), (32, 16)])
-    def test_window_residency_invariant(self, n, w):
-        """No flux step touches a slice that is not currently resident."""
-        resident: set = set()
-        for s in flux_slice_schedule(n, w):
-            if s.action == "load":
-                resident |= set(s.slices)
-                assert len(resident) <= w + 1  # one prefetch slice allowed
-            elif s.action == "store":
-                resident -= set(s.slices)
-            elif s.action == "flux":
-                assert set(s.slices) <= resident
-
-    def test_rejects_odd_window(self):
-        with pytest.raises(ValueError):
-            flux_slice_schedule(8, 3)
-
-    def test_rejects_tiny_window(self):
-        with pytest.raises(ValueError):
-            flux_slice_schedule(8, 1)
-
-    def test_step_str(self):
-        s = BatchStep("flux", (0, 1), "y", (-1,))
-        assert "y" in str(s)
-
-
 class TestVolumeBatching:
-    def test_constants_broadcast_once(self):
-        """Fig. 6: 'broadcasting constants can be removed' after batch 0."""
-        steps = volume_batch_steps(3)
-        broadcasts = [s for s in steps if s.action == "broadcast"]
-        assert len(broadcasts) == 1
-        loads = [s for s in steps if s.action == "load"]
-        assert len(loads) == 3
-
     def test_dram_traffic_zero_unbatched(self):
         """§7.4: 'zero overhead DRAM data transfer since batching is not
         needed' with a big enough chip."""

@@ -50,7 +50,6 @@ class TestRegistry:
             "sec31",
             "sec7_summary",
             "energy_breakdown",
-            "plan_throughput",
             "fault_sweep",
         }
 

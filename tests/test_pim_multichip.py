@@ -14,13 +14,19 @@ The correctness chain the tentpole rests on:
    speedup at 4 shards with the exchange overlap *measured* from
    hardware counters;
 5. the r=6 mesh the single-chip mapper rejects is held by the
-   partitioner.
+   partitioner;
+6. batching is sharding in time: the batched baseline takes its batch
+   count from ``shards_needed``, replays every face, and its batches'
+   data path — a shard's — matches numpy dG on the proxy chip.
 """
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.halo import audit_sharding
 from repro.core.kernels.acoustic import (
@@ -30,11 +36,19 @@ from repro.core.kernels.acoustic import (
 from repro.core.kernels.elastic import ElasticFourBlockKernels
 from repro.core.kernels.maxwell import MaxwellOneBlockKernels
 from repro.core.mapper import ElementMapper, ShardMapper
-from repro.dg import AcousticMaterial, HexMesh, ReferenceElement
+from repro.dg import (
+    AcousticMaterial,
+    AcousticOperator,
+    HexMesh,
+    ReferenceElement,
+    cfl_timestep,
+)
 from repro.dg.materials import ElasticMaterial
 from repro.dg.maxwell import ElectromagneticMaterial
+from repro.dg.timestepping import LSRK45
 from repro.pim.chip import PimChip
 from repro.pim.executor import ChipExecutor
+from repro.pim.isa import Opcode
 from repro.pim.multichip import (
     InterChipLink,
     ShardedExecutor,
@@ -43,7 +57,7 @@ from repro.pim.multichip import (
     shards_needed,
     single_chip_batched_makespan,
 )
-from repro.pim.params import CHIP_CONFIGS
+from repro.pim.params import CHIP_CONFIGS, ChipConfig
 
 CHIP = CHIP_CONFIGS["512MB"]
 DT = 1e-4
@@ -82,6 +96,35 @@ def _single_chip_run(mesh, element, factory, g, state, n_steps=1):
             h.update(chip.block(mapper.block_of(e, part)).data.tobytes())
         digests[int(e)] = h.hexdigest()
     return ex.now(), digests, kern.read_state(chip)
+
+
+def _chip(n_blocks, blocks_per_tile=16):
+    """A chip of ``n_blocks`` one-megabit blocks (the proxy chip's size)."""
+    block_bytes = 1024 * 1024 // 8
+    return ChipConfig(name=f"{n_blocks}blk",
+                      capacity_bytes=n_blocks * block_bytes,
+                      blocks_per_tile=blocks_per_tile)
+
+
+def _flux_fetches(instructions):
+    return sum(1 for inst in instructions
+               if inst.op is Opcode.TRANSFER and inst.tag.startswith("flux:fetch"))
+
+
+def _replayed_fetches(call):
+    """``call()``'s result and the flux-fetch TRANSFERs of every stream
+    it ran (plans count their instructions once per replay)."""
+    real = ChipExecutor.run
+    seen = []
+
+    def spy(self, instructions, *args, **kwargs):
+        seen.append(_flux_fetches(
+            getattr(instructions, "instructions", instructions)))
+        return real(self, instructions, *args, **kwargs)
+
+    with mock.patch.object(ChipExecutor, "run", spy):
+        out = call()
+    return out, sum(seen)
 
 
 def _state(mesh, element, n_vars, seed=0):
@@ -235,9 +278,6 @@ class TestBitIdentity:
         """Stepping in three calls equals stepping in one: the exchange
         after a call's last stage is carried into the next call, not
         dropped (which used to leave the next call on stale ghosts)."""
-        from repro.dg import AcousticOperator, cfl_timestep
-        from repro.dg.timestepping import LSRK45
-
         mesh = HexMesh.from_refinement_level(1)
         elem = ReferenceElement(2)
         factory, g = _factory("acoustic1", "riemann", mesh, elem)
@@ -300,7 +340,9 @@ class TestScaling:
         wl = shard_step_workload()
         single_s, n_batches = single_chip_batched_makespan(
             wl["mesh"], wl["chip"], wl["kernel_factory"], dt=wl["dt"])
-        assert n_batches == 2  # 64 elements overflow the 48-block proxy
+        # 64 elements overflow the 48-block proxy.  Two batches with their
+        # halos need 32 + 32 = 64 blocks; four hold 16 owned + 32 halo.
+        assert n_batches == 4
         sx = ShardedExecutor(wl["mesh"], wl["chip"], wl["kernel_factory"],
                              n_shards=4, counters=True)
         res = sx.run_steps(wl["dt"], n_steps=1, functional=False)
@@ -368,6 +410,14 @@ class TestCapacity:
                          halo=sharding.halo[0], shard_id=0)
         assert m0.n_blocks_needed <= CHIP.n_blocks
 
+    def test_shards_needed_tries_one_element_shards(self):
+        """The last power of two, one element per shard, is tried too."""
+        r1 = HexMesh.from_refinement_level(1)
+        assert shards_needed(r1, _chip(4, blocks_per_tile=4), 1) == 8  # 1 + 3
+        assert shards_needed(r1, _chip(3, blocks_per_tile=1), 1) is None
+        r2 = HexMesh.from_refinement_level(2)
+        assert shards_needed(r2, _chip(8, blocks_per_tile=8), 1) == 64  # 1 + 6
+
     def test_shard_mapper_overflow_names_the_shard(self):
         mesh = HexMesh.from_refinement_level(6)
         sharding = partition_mesh(mesh, 2)
@@ -397,3 +447,138 @@ class TestGantt:
         names = {e["args"]["name"] for e in events
                  if e["name"] == "process_name"}
         assert "shard 0" in names and "inter-chip links" in names
+
+
+class TestBatching:
+    """A batch is a shard that takes turns on one chip (paper §6.1)."""
+
+    def test_proxy_batches_replay_every_face(self):
+        """The batched baseline computes the cross-batch faces too: 384
+        flux fetches per stage on the proxy, the whole mesh's count."""
+        from repro.workloads.sharding import shard_step_workload
+
+        wl = shard_step_workload()
+        mesh = wl["mesh"]
+        whole = wl["kernel_factory"](ElementMapper(mesh.m, CHIP, 1))
+        per_stage = _flux_fetches(whole.flux())
+        assert per_stage == 384
+        (_, n_batches), fetches = _replayed_fetches(
+            lambda: single_chip_batched_makespan(
+                mesh, wl["chip"], wl["kernel_factory"], dt=wl["dt"]))
+        assert n_batches == 4
+        assert fetches == LSRK45.n_stages * per_stage
+
+    def test_one_batch_is_plain_replay(self):
+        """A mesh that fits runs as one batch: no swap, the single-chip
+        plan replay's clock exactly."""
+        mesh = HexMesh.from_refinement_level(1)
+        elem = ReferenceElement(1)
+        factory, g = _factory("acoustic1", "riemann", mesh, elem)
+        ex = ChipExecutor(PimChip(CHIP))
+        plan = ex.lower(factory(ElementMapper(mesh.m, CHIP, g)).time_step(DT))
+        for _ in range(2):
+            ex.run(plan, functional=False)
+        assert single_chip_batched_makespan(
+            mesh, CHIP, factory, dt=DT, n_steps=2) == (ex.now(), 1)
+
+    def test_raises_when_no_batch_fits(self):
+        mesh = HexMesh.from_refinement_level(2)
+        elem = ReferenceElement(1)
+        factory, g = _factory("elastic", "central", mesh, elem)
+        # one element and its six neighbours need 7 x 4 = 28 blocks
+        with pytest.raises(ValueError, match="cannot hold even one batch"):
+            single_chip_batched_makespan(mesh, _chip(16), factory,
+                                         blocks_per_element=g)
+
+    def _proxy_vs_numpy(self, flux, seed, order=2, n_steps=2):
+        """Functional 4-shard run on the 48-block proxy chip (16 owned +
+        32 halo blocks per shard) for ``n_steps`` steps against numpy dG."""
+        from repro.workloads.sharding import shard_proxy_chip
+
+        mesh = HexMesh.from_refinement_level(2)
+        elem = ReferenceElement(order)
+        rng = np.random.default_rng(seed)
+        mat = AcousticMaterial(kappa=rng.uniform(1.0, 2.0, mesh.n_elements),
+                               rho=rng.uniform(0.5, 1.5, mesh.n_elements))
+        state = (0.1 * rng.standard_normal(
+            (4, mesh.n_elements, elem.n_nodes))).astype(np.float32)
+        dt = cfl_timestep(mesh.h, mat.max_speed, elem.order, 0.3)
+        sx = ShardedExecutor(
+            mesh, shard_proxy_chip(),
+            lambda m: AcousticOneBlockKernels(mesh, elem, mat, m, flux),
+            n_shards=4)
+        sx.setup(state)
+        sx.run_steps(dt, n_steps=n_steps)
+        ref = state.astype(np.float64)
+        aux = np.zeros_like(ref)
+        stepper = LSRK45(AcousticOperator(mesh, mat, elem, flux=flux).rhs)
+        for _ in range(n_steps):
+            stepper.step(ref, 0.0, dt, aux)
+        return np.abs(sx.read_state() - ref).max() / np.abs(ref).max()
+
+    def test_proxy_shards_match_numpy_riemann(self):
+        assert self._proxy_vs_numpy("riemann", seed=0) < 5e-6
+
+    def test_proxy_shards_match_numpy_central(self):
+        assert self._proxy_vs_numpy("central", seed=4) < 5e-6
+
+    def test_undersized_chip_matches_numpy(self):
+        """The 64-element mesh overflows the 48-block chip; order-1
+        elements, one step, each batch streamed with its halo."""
+        from repro.workloads.sharding import shard_proxy_chip
+
+        chip = shard_proxy_chip()
+        mesh = HexMesh.from_refinement_level(2)
+        assert chip.n_blocks == 48 < mesh.n_elements
+        assert shards_needed(mesh, chip, 1) == 4
+        assert self._proxy_vs_numpy("riemann", seed=3, order=1,
+                                    n_steps=1) < 5e-6
+
+
+#: (level, (physics, flux, n_vars)) draws: every family of the sweep at
+#: level 1, and the one-block acoustic kernels at level 2 too.  A level-2
+#: elastic or Maxwell draw costs 4-8 s; the fixed sweep runs them.
+CASES = ([(1, (p, f, nv)) for p, f, _level, _n, nv in TestBitIdentity.SWEEP]
+         + [(2, ("acoustic1", f, 4)) for f in ("riemann", "central")])
+
+
+@given(case=st.sampled_from(CASES), n_shards=st.sampled_from([1, 2, 4, 8]),
+       chip_tiles=st.integers(1, 8))
+@settings(max_examples=10, deadline=None)
+def test_random_sharding_differential(case, n_shards, chip_tiles):
+    """Random mesh, kernel family, shard count and chip size (1-8 tiles of
+    16 blocks, many too small for the whole mesh): PL005 is clean, one
+    functional step on N shards equals one shard by block digest, and the
+    batched baseline replays every face or refuses a chip no batch fits."""
+    level, family = case
+    physics, flux, n_vars = family
+    mesh = HexMesh.from_refinement_level(level)
+    elem = ReferenceElement(1)
+    factory, g = _factory(physics, flux, mesh, elem)
+    chip = _chip(16 * chip_tiles)
+    whole = _chip(16 * -(-mesh.n_elements * g // 16))
+    assert audit_sharding(mesh, partition_mesh(mesh, n_shards)) == []
+
+    fits = shards_needed(mesh, chip, g)
+    state = _state(mesh, elem, n_vars, seed=level)
+    digests = []
+    for n, cfg in ((1, whole),
+                   (n_shards, chip if fits and fits <= n_shards else whole)):
+        sx = ShardedExecutor(mesh, cfg, factory, n_shards=n,
+                             blocks_per_element=g)
+        sx.setup(state)
+        sx.run_steps(DT, n_steps=1)
+        digests.append(sx.state_digests())
+    assert digests[0] == digests[1]
+
+    if fits is None:
+        with pytest.raises(ValueError, match="cannot hold even one batch"):
+            single_chip_batched_makespan(mesh, chip, factory,
+                                         blocks_per_element=g, dt=DT)
+        return
+    per_stage = _flux_fetches(factory(ElementMapper(mesh.m, whole, g)).flux())
+    (_, n_batches), fetches = _replayed_fetches(
+        lambda: single_chip_batched_makespan(mesh, chip, factory,
+                                             blocks_per_element=g, dt=DT))
+    assert n_batches == fits
+    assert fetches == LSRK45.n_stages * per_stage

@@ -889,6 +889,27 @@ class TestScheduledDifferential:
     def test_scheduled_equals_emission_order(self, case):
         _sched_check(*case)
 
+    def test_span_adds_latencies_in_executor_order(self):
+        """The TRANSFER frees its read port at ``ready + read_t +
+        flit_train``; summing the two latencies first rounds one ulp above
+        the measured clock, and the span would overshoot the makespan."""
+        from repro.pim.isa import Instruction
+        from repro.pim.schedule import critical_path_span
+
+        stream = [
+            Instruction(Opcode.ADD, block=0, rows=(0, 1), dst=0, src1=0,
+                        src2=0, tag="integration"),
+            Instruction(Opcode.TRANSFER, block=0, src_block=1, rows=(0, 9),
+                        src_rows=(0, 9), dst=0, src1=3, words=1, tag="flux"),
+            # overwrites the column the TRANSFER reads: waits on its read port
+            Instruction(Opcode.ADD, block=1, rows=(0, 1), dst=3, src1=0,
+                        src2=0, tag="integration"),
+        ]
+        ex = ChipExecutor(_lockstep_chip())
+        plan = ex.lower(stream)
+        span = critical_path_span(ex, plan)
+        assert span == ex.run(plan, functional=False).total_time_s
+
 
 class TestScheduledLockstep:
     """A scheduled step interleaves every block's ops; one functional

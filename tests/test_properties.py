@@ -4,7 +4,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batching import covered_y_interfaces, flux_slice_schedule
 from repro.core.layout import ElementLayout
 from repro.core.mapper import ElementMapper, morton3_decode, morton3_encode
 from repro.dg.mesh import HexMesh
@@ -43,18 +42,6 @@ def test_mesh_neighbor_involution(m):
         for f in range(6):
             nbr = int(mesh.neighbors[e, f])
             assert int(mesh.neighbors[nbr, opposite_face(f)]) == e
-
-
-@given(st.integers(min_value=4, max_value=64).filter(lambda n: n % 2 == 0),
-       st.integers(min_value=1, max_value=5))
-@settings(max_examples=30, deadline=None)
-def test_flux_slice_schedule_complete(n_slices, half):
-    window = max(2, 2 * ((n_slices // (2 * half)) // 2) * 1)
-    if window > n_slices:
-        window = n_slices if n_slices % 2 == 0 else n_slices - 1
-    steps = flux_slice_schedule(n_slices, window)
-    covered = covered_y_interfaces(steps, n_slices)
-    assert sorted(covered) == [(s, s + 1) for s in range(n_slices - 1)]
 
 
 @given(st.integers(min_value=0, max_value=255), st.integers(min_value=0, max_value=255))
