@@ -101,6 +101,36 @@ def test_transfer_replay_throughput(benchmark):
     assert rep.transfers == 1000
 
 
+@pytest.mark.benchmark(group="micro")
+def test_transfer_heavy_replay_throughput(benchmark):
+    """One functional and one analytic replay of the scheduled elastic
+    r=1, order-2 step on 512MB: four blocks per element, 4,360 TRANSFERs
+    in short runs between short compute segments, each run moved by its
+    merged copies."""
+    from repro.core.kernels.elastic import ElasticFourBlockKernels
+    from repro.pim.schedule import schedule_plan
+
+    mesh = HexMesh.from_refinement_level(1)
+    elem = ReferenceElement(2)
+    mat = ElasticMaterial.homogeneous(mesh.n_elements)
+    mapper = ElementMapper(mesh.m, CHIP_CONFIGS["512MB"], 4)
+    kern = ElasticFourBlockKernels(mesh, elem, mat, mapper, "central")
+    ex = ChipExecutor(PimChip(CHIP_CONFIGS["512MB"]))
+    state = np.zeros((9, mesh.n_elements, elem.n_nodes), dtype=np.float32)
+    ex.run(kern.setup() + kern.load_state(state), functional=True)
+    plan = schedule_plan(ex, ex.lower(kern.time_step(1e-4)))
+    assert plan.schedule_stats["kept"]
+    assert plan.n_transfers == 4360
+
+    def run():
+        ex.run(plan, functional=True)
+        return ex.run(plan, functional=False)
+
+    rep = benchmark(run)
+    assert rep.transfers == 4360
+    benchmark.extra_info["pim_instructions"] = rep.n_instructions
+
+
 # --------------------------------------------------------------------- #
 # perf-regression guard (methodology lives in repro.eval.bench, shared
 # with the `repro bench` subcommand and the CI perf job)

@@ -50,7 +50,6 @@ from repro.pim.plan import (
     APPLY_UFUNC,
     COPY_NORS,
     STEP_SEGMENT,
-    STEP_TRANSFER,
     ExecutionPlan,
     fold_array,
     lower_program,
@@ -554,78 +553,115 @@ class ChipExecutor:
         """Replay a lowered plan fault-free: vectorized accounting, serial
         semantics.
 
-        Walks the plan's step list instead of the instruction stream.
-        Compute segments advance each block's clock by an exact left-fold
-        of precomputed durations from the serial starting point
-        (``_compute_start`` dominates after the first op, see
-        :mod:`repro.pim.plan`), fold the report accumulators in stream
-        order and — when ``functional`` — execute the segment's lockstep
-        apply program; TRANSFERs run a precomputed fast path;
-        everything that couples multiple clocks (LUT/HOSTOP/DRAM/BARRIER)
-        dispatches through the unchanged serial handlers.  Bit-identical
-        to ``run(plan.instructions, serial=True)``.
+        Walks the plan's runs — its steps cut at the DISPATCH rows —
+        instead of the instruction stream.  Each run folds its precomputed
+        report accounting in (per tag, the same addends in the same order
+        as serial dispatch, see :mod:`repro.pim.plan`).  Compute segments
+        advance each block's clock by an exact left-fold of precomputed
+        durations from the serial starting point (``_compute_start``
+        dominates after the first op) and — when ``functional`` — execute
+        the segment's lockstep apply program; TRANSFERs replay the clock
+        arithmetic of :meth:`_transfer` from precomputed routes and port
+        keys, and each transfer run moves its rows with the plan's
+        per-chip copies; everything that couples multiple clocks
+        (LUT/HOSTOP/DRAM/BARRIER) dispatches through the unchanged serial
+        handlers.  Bit-identical to ``run(plan.instructions, serial=True)``.
         """
         plan.replays += 1
         insts = plan.instructions
-        if functional and plan.apply_chip is not self.chip:
-            # lockstep programs index one chip's tile arrays: (re)build
-            # them for this chip on the way through.
-            plan.reset_apply(self.chip)
+        copies = None
+        if functional:
+            if plan.apply_chip is not self.chip:
+                # lockstep programs and transfer copies index one chip's
+                # tile arrays: (re)build them for this chip on the way.
+                plan.reset_apply(self.chip)
+            copies = plan.transfer_apply
+            if copies is None:
+                copies = plan.build_transfer_apply()
         bc = self._block_clock
         pf = self._port_free
+        sw = self._switch_free
         cnt = self.counters
         # deferred counter recording: the whole plan is logged once up
         # front and the hot loop appends only one float per (segment,
-        # block) through a bound list.append — the ≤2% enabled-overhead
-        # budget lives or dies here (aggregation re-walks plan.steps at
-        # the counters' first read).
+        # block) and one 3-tuple per transfer through bound list.appends —
+        # the ≤2% enabled-overhead budget lives or dies here (aggregation
+        # re-walks plan.steps at the counters' first read).
         if cnt is not None:
             cnt._fold = fold_array
             cnt._seg_kind = STEP_SEGMENT
             cnt.plan_log.append(plan)
             s_app = cnt.start_log.append
+            x_app = cnt.xfer_log.append
         else:
-            s_app = None
+            s_app = x_app = None
         time_by_tag = report.time_by_tag
         energy_by_tag = report.energy_by_tag
-        for kind, payload in plan.steps:
-            if kind == STEP_SEGMENT:
-                for tag, durs, ens in payload.tag_groups:
+        for run in plan.runs:
+            if run.n:
+                for tag, durs, ens in run.tag_groups:
                     time_by_tag[tag] = fold_array(time_by_tag[tag], durs)
                     energy_by_tag[tag] = fold_array(energy_by_tag[tag], ens)
                 report.dynamic_energy_j = fold_array(
-                    report.dynamic_energy_j, payload.energies
+                    report.dynamic_energy_j, run.energies
                 )
-                report.op_counts.update(payload.op_counts)
-                report.n_instructions += payload.n
+                report.op_counts.update(run.op_counts)
+                report.n_instructions += run.n
+                report.transfers += run.transfers
+                report.hops += run.hops
+                report.flits += run.flits
+                report.bytes_moved += run.n_bytes
+                # only a DISPATCH (BARRIER) or sync_at moves the floor
                 barrier = self._barrier_time
-                if s_app is None:
-                    for block, durs, _nors, _ops in payload.block_groups:
-                        # defaultdict lookups deliberately mirror
-                        # _compute_start (they insert missing keys, which
-                        # _now() later reads).
-                        start = max(
-                            bc[block], pf[("r", block)], pf[("w", block)],
-                            barrier,
-                        )
-                        bc[block] = fold_array(start, durs)
-                else:
-                    # recording twin of the loop above: the only extra work
-                    # per block is one float append — ends are recomputed
-                    # lazily from the same fold at the counters' first read.
-                    for block, durs, _nors, _ops in payload.block_groups:
-                        start = max(
-                            bc[block], pf[("r", block)], pf[("w", block)],
-                            barrier,
-                        )
-                        bc[block] = fold_array(start, durs)
-                        s_app(start)
-                if functional:
-                    self._segment_apply(payload, plan)
-            elif kind == STEP_TRANSFER:
-                self._transfer_step(payload, functional, report)
-            else:  # STEP_DISPATCH
-                self._dispatch(insts[payload], functional, report)
+                for kind, payload in run.items:
+                    if kind == STEP_SEGMENT:
+                        for block, durs, _nors, _ops in payload.block_groups:
+                            # defaultdict lookups deliberately mirror
+                            # _compute_start (they insert missing keys,
+                            # which _now() later reads).
+                            start = end = max(
+                                bc[block], pf[("r", block)], pf[("w", block)],
+                                barrier,
+                            )
+                            for d in durs:  # the fold_array left-fold
+                                end += d
+                            bc[block] = end
+                            if s_app is not None:
+                                s_app(start)
+                        if functional:
+                            self._segment_apply(payload, plan)
+                        continue
+                    for t in payload.steps:
+                        # the fault-free clock arithmetic of _transfer
+                        rport = t.rport
+                        wport = t.wport
+                        ready = max(pf[rport], pf[wport], bc[t.src],
+                                    bc[t.dst], barrier)
+                        ready0 = ready  # before queueing behind switches
+                        keys = t.keys
+                        for k in keys:
+                            free = sw[k]
+                            if free > ready:
+                                ready = free
+                        if t.exclusive:
+                            held = ready + t.read_t + t.wire
+                            for k in keys:
+                                sw[k] = held
+                        else:
+                            for k in keys:
+                                sw[k] += t.flit_train
+                        pf[rport] = ready + t.read_t + t.flit_train
+                        pf[wport] = ready + t.dur
+                        if x_app is not None:
+                            # deferred record (HardwareCounters hot-path
+                            # contract): occupancy, flits and hops derive
+                            # from the step object at finalize time.
+                            x_app((t, ready, ready0))
+                    if copies is not None:
+                        for dst, d_idx, src, s_idx in copies[payload.index]:
+                            dst[d_idx] = src[s_idx]
+            if run.dispatch is not None:
+                self._dispatch(insts[run.dispatch], functional, report)
 
     def _segment_apply(self, seg, plan: ExecutionPlan) -> None:
         """Execute one segment's functional effects.
@@ -652,57 +688,6 @@ class ChipExecutor:
             else:  # APPLY_FILL
                 _, a, dst, value = step
                 a[dst] = value
-
-    def _transfer_step(self, t, functional: bool, report: TimingReport) -> None:
-        """TRANSFER with route and latencies precomputed at lower time.
-
-        Replays the fault-free :meth:`_transfer` exactly; functional
-        delivery indexes block state through the precomputed row
-        selectors.  Only the data-dependent readiness ``max`` and the
-        switch/port updates happen at run time.
-        """
-        sw = self._switch_free
-        pf = self._port_free
-        ready = max(
-            pf[("r", t.src)],
-            pf[("w", t.dst)],
-            self._block_clock[t.src],
-            self._block_clock[t.dst],
-            self._barrier_time,
-        )
-        ready0 = ready  # port-ready time, before queueing behind switches
-        keys = t.keys
-        for k in keys:
-            ready = max(ready, sw[k])
-        if t.exclusive:
-            held = ready + t.read_t + t.wire
-            for k in keys:
-                sw[k] = held
-        else:
-            for k in keys:
-                sw[k] += t.flit_train
-        pf[("r", t.src)] = ready + t.read_t + t.flit_train
-        pf[("w", t.dst)] = ready + t.dur
-        report.transfers += 1
-        report.hops += t.hops
-        report.flits += t.flits
-        report.bytes_moved += t.n_bytes
-        cnt = self.counters
-        if cnt is not None:
-            # deferred record (see HardwareCounters hot-path contract):
-            # occupancy/flits/hops all derive from the stable step object
-            # at finalize time, so the replay pays one 3-tuple.
-            cnt.xfer_log.append((t, ready, ready0))
-        if functional:
-            src_vals = self.chip.block(t.src).data[
-                t.s_sel, t.src1:t.src1 + t.words
-            ]
-            if src_vals.shape[0] != t.n_rows:
-                raise ValueError("TRANSFER src/dst row selections must match in size")
-            self.chip.block(t.dst).data[
-                t.d_sel, t.dst_col:t.dst_col + t.words
-            ] = src_vals
-        report.add(t.tag, t.op, t.dur, t.energy)
 
     # ------------------------------------------------------------------ #
 

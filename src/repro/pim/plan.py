@@ -4,11 +4,11 @@ Wave simulation replays the same per-element instruction streams every
 RK stage of every time-step (§4–§5), yet per-instruction dispatch pays the
 full Python interpretation cost on every replay.  :func:`lower_program`
 compiles a stream *once* into an :class:`ExecutionPlan` — a numpy
-structured array of ``(opcode, duration, energy, NOR cycles)`` with every
-TRANSFER's route resolved per unique ``(src, dst)`` pair up front — so
-:meth:`repro.pim.executor.ChipExecutor.run` on a plan becomes a few
-vectorized segment reductions plus a per-block prefix-max clock advance
-instead of thousands of Python dispatches.
+structured array of ``(opcode, duration, energy, NOR cycles, tag id)``
+with every TRANSFER's route resolved per unique ``(src, dst)`` pair up
+front — so :meth:`repro.pim.executor.ChipExecutor.run` on a plan
+becomes a few vectorized segment reductions plus a per-block prefix-max
+clock advance instead of thousands of Python dispatches.
 
 Plan replay runs every fault-free execution (DESIGN.md §13), analytic
 and functional.  Functional replay runs the blocks in lockstep, as the
@@ -33,21 +33,32 @@ The plan path must produce a :class:`~repro.pim.executor.TimingReport`
    maximal run of compute ops (a *segment*) each block's clock advances
    by a pure left-fold of durations from ``max(clock, port_r, port_w,
    barrier)`` — exactly what serial dispatch computes (after the first
-   op the clock already dominates the unchanged port values).
+   op the clock already dominates the unchanged port values).  The
+   barrier floor moves only at a BARRIER (a DISPATCH row) or between
+   runs (``sync_at``), so replay reads it once per run.
 2. Report accumulators (per-tag time/energy, total dynamic energy) are
-   independent left-folds over the same addend sequence in stream order;
-   :func:`fold_array` replays the exact serial addition order (a Python
-   loop for short runs, a strict ``np.add.accumulate`` — never pairwise
-   ``np.sum`` — beyond that).
+   independent left-folds over the same addend sequence in stream order,
+   and between two DISPATCH rows nothing else touches them.  So each
+   *run* — the segment and TRANSFER rows between two DISPATCH rows — is
+   one left-fold per tag and one for ``dynamic_energy_j`` over the
+   plan's own ``dur``/``energy`` columns (:class:`_Run`), tags in
+   first-seen order so the report dicts get serial key order; op counts
+   and interconnect totals are integer sums per run.  :func:`fold_array`
+   replays the exact serial addition order (a Python loop for short
+   runs, a strict ``np.add.accumulate`` — never pairwise ``np.sum`` —
+   beyond that).
 3. Every per-instruction float (durations, energies, wire latencies) is
    precomputed at lower time with the *same expression and association
    order* as the serial opcode handlers, so replay only re-executes the
    data-dependent ``max``/update logic.
 
 Coupling opcodes keep their serial handlers: TRANSFER gets a precomputed
-fast-path row (route, flit count, phase latencies *and* the functional
-row selectors resolved at lower time); LUT/HOSTOP/DRAM/BARRIER dispatch
-through the executor unchanged.
+fast-path row (route, flit count, phase latencies, port keys *and* the
+functional row selectors resolved at lower time); LUT/HOSTOP/DRAM/BARRIER
+dispatch through the executor unchanged.  Functional replay resolves a
+plan's TRANSFERs to copies on one chip's tile arrays
+(:meth:`ExecutionPlan.build_transfer_apply`): each run of consecutive
+TRANSFERs moves in one fancy-indexed copy per hazard-free group.
 
 A plan records the chip's ``routing_epoch`` at lower time; if spare-block
 remapping has invalidated the routes since, the executor re-lowers
@@ -66,6 +77,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -102,13 +114,15 @@ VECTORIZABLE_OPS = frozenset(ARITHMETIC_OPS) | {
 }
 
 #: One row per instruction: opcode id, analytic duration/energy (zero for
-#: dispatch-handled rows) and the NOR cycles of the op (nonzero only for
-#: arithmetic/COPY; the hardware counters sum them per block).
+#: dispatch-handled rows), the NOR cycles of the op (nonzero only for
+#: arithmetic/COPY; the hardware counters sum them per block) and the
+#: instruction's tag as an index into ``ExecutionPlan.tags``.
 PLAN_DTYPE = np.dtype([
     ("op", np.uint8),
     ("dur", np.float64),
     ("energy", np.float64),
     ("nors", np.int32),
+    ("tag", np.int32),
 ])
 
 #: stable opcode -> small-int encoding for the structured array.
@@ -145,15 +159,17 @@ _GATHER_ID = OP_IDS[Opcode.GATHER]
 _COPY_ID = OP_IDS[Opcode.COPY]
 
 
-def fold_array(base: float, values: np.ndarray) -> float:
+def fold_array(base: float, values: Sequence[float]) -> float:
     """Left-fold the additions of ``values`` (in order) onto ``base``.
 
-    Bit-identical to ``for v in values: base += v``.  ``np.add.accumulate``
-    is a strict sequential fold (it must produce every prefix), unlike
+    ``values`` is a float64 array or a tuple of Python floats (both IEEE
+    doubles, so either form folds to the same bits).  Bit-identical to
+    ``for v in values: base += v``.  ``np.add.accumulate`` is a strict
+    sequential fold (it must produce every prefix), unlike
     ``np.sum``/``np.add.reduce`` whose pairwise re-association would break
     the bit-identity contract.
     """
-    n = values.shape[0]
+    n = len(values)
     if n <= 64:
         for v in values:
             base += v
@@ -165,44 +181,32 @@ def fold_array(base: float, values: np.ndarray) -> float:
 
 
 class _VecSegment:
-    """A maximal run of compute ops, pre-grouped for vectorized replay."""
+    """A maximal run of compute ops, pre-grouped per block for replay."""
 
-    __slots__ = (
-        "n", "start", "stop", "op_counts", "energies", "tag_groups",
-        "block_groups", "apply",
-    )
+    __slots__ = ("n", "start", "stop", "block_groups", "apply")
 
     def __init__(self, array: np.ndarray, indices: range,
                  insts: Sequence[Instruction]) -> None:
         self.n = len(indices)
-        self.start = indices.start
-        self.stop = indices.stop
-        durs = array["dur"][indices.start:indices.stop]
-        ens = array["energy"][indices.start:indices.stop]
-        nors = array["nors"][indices.start:indices.stop]
-        #: whole-segment energies in stream order (global dynamic-energy fold)
-        self.energies = ens
-        self.op_counts = Counter(map(
-            _OP_VALUES.__getitem__, array["op"][indices.start:indices.stop].tolist()
-        ))
-        # group positions by tag / block, preserving first-seen order so the
-        # report dicts are populated in the same key order as serial dispatch
-        by_tag: Dict[str, List[int]] = {}
-        by_block: Dict[Any, List[int]] = {}
-        for pos, i in enumerate(indices):
-            by_tag.setdefault(insts[i].tag, []).append(pos)
-            by_block.setdefault(insts[i].block, []).append(pos)
-        self.tag_groups = [
-            (tag, durs[np.asarray(p, dtype=np.intp)], ens[np.asarray(p, dtype=np.intp)])
-            for tag, p in by_tag.items()
-        ]
-        # per-block duration runs plus the hardware-counter aggregates
-        # (NOR cycles issued / ops retired) precomputed at lower time, so
+        self.start = start = indices.start
+        self.stop = stop = indices.stop
+        # per block, in first-seen order: its durations as Python floats
+        # (the replay folds them onto the block clock) plus the hardware-
+        # counter aggregates (NOR cycles issued / ops retired), so
         # counters-enabled replay costs one dict update per group.
+        groups: Dict[Any, List[Any]] = {}
+        for inst, dur, nors in zip(insts[start:stop],
+                                   array["dur"][start:stop].tolist(),
+                                   array["nors"][start:stop].tolist()):
+            g = groups.get(inst.block)
+            if g is None:
+                groups[inst.block] = [[dur], nors]
+            else:
+                g[0].append(dur)
+                g[1] += nors
         self.block_groups = [
-            (block, durs[sel], int(nors[sel].sum()), len(p))
-            for block, p in by_block.items()
-            for sel in (np.asarray(p, dtype=np.intp),)
+            (block, tuple(durs), nors, len(durs))
+            for block, (durs, nors) in groups.items()
         ]
         #: functional apply program, built lazily on the first functional
         #: replay (analytic replays never pay for it).
@@ -400,14 +404,17 @@ class _TransferStep:
 
     Every float here is computed with the exact expression order of
     ``ChipExecutor._transfer``; replay re-runs only the readiness ``max``
-    and the switch/port updates.  The functional row selectors are
-    precomputed too, so functional replay indexes block state directly.
+    and the switch/port updates, through the precomputed port keys
+    ``rport``/``wport``.  The functional row selectors are precomputed
+    too; the copies they make are resolved per plan and per chip
+    (:meth:`ExecutionPlan.build_transfer_apply`), never stored here: the
+    makespan scheduler shares these objects between two plans.
     """
 
     __slots__ = (
-        "src", "dst", "keys", "hops", "flits", "read_t", "write_t", "wire",
-        "flit_train", "dur", "energy", "n_bytes", "exclusive", "tag", "op",
-        "n_rows", "words", "src1", "dst_col", "s_sel", "d_sel",
+        "src", "dst", "rport", "wport", "keys", "hops", "flits", "read_t",
+        "write_t", "wire", "flit_train", "dur", "energy", "n_bytes",
+        "exclusive", "n_rows", "words", "src1", "dst_col", "s_sel", "d_sel",
     )
 
     def __init__(self, inst: Instruction, chip: "PimChip",
@@ -425,8 +432,8 @@ class _TransferStep:
          self.exclusive) = template
         self.src = src
         self.dst = dst
-        self.tag = inst.tag
-        self.op = inst.op
+        self.rport = ("r", src)
+        self.wport = ("w", dst)
         # functional inputs
         self.n_rows = n_rows
         self.words = inst.words
@@ -467,26 +474,181 @@ def _transfer_cost_template(chip: "PimChip", costs: "OpCosts", src: int,
             dur, energy, n_rows * words * 4, ic.exclusive)
 
 
+class _TransferRun:
+    """Consecutive TRANSFER steps of one plan.  ``index`` names their
+    functional copies in :attr:`ExecutionPlan.transfer_apply`."""
+
+    __slots__ = ("steps", "index")
+
+    def __init__(self, steps: Tuple[_TransferStep, ...], index: int) -> None:
+        self.steps = steps
+        self.index = index
+
+
+class _Run:
+    """A maximal run of segment and TRANSFER steps between DISPATCH rows,
+    with its report accounting folded into plan constants.
+
+    Only dispatch handlers touch the report between a run's rows, so the
+    run's share of every report accumulator is a constant of the plan:
+    per tag, a left-fold of its rows' durations and energies in stream
+    order (``tag_groups``, tags in first-seen order so they enter the
+    report dicts in serial key order), the left-fold of every row's
+    energy (``energies``), and integer totals.  ``items`` are the run's
+    segments and transfer runs in stream order; ``dispatch`` is the row
+    of the DISPATCH step that ends the run (None for the last run).
+    """
+
+    __slots__ = (
+        "items", "n", "tag_groups", "energies", "op_counts", "transfers",
+        "hops", "flits", "n_bytes", "dispatch",
+    )
+
+    def __init__(self, array: np.ndarray, lo: int, hi: int,
+                 items: List[Tuple[int, Any]], tags: Sequence[str],
+                 dispatch: Optional[int]) -> None:
+        self.items = items
+        self.n = hi - lo
+        self.dispatch = dispatch
+        durs = array["dur"][lo:hi]
+        self.energies = ens = array["energy"][lo:hi]
+        self.op_counts: Counter = Counter()
+        self.tag_groups: List[Tuple[str, np.ndarray, np.ndarray]] = []
+        if self.n:
+            ops, first, counts = np.unique(array["op"][lo:hi],
+                                           return_index=True,
+                                           return_counts=True)
+            order = np.argsort(first)  # first-seen, as serial dispatch
+            self.op_counts.update(dict(zip(
+                [_OP_VALUES[op] for op in ops[order].tolist()],
+                counts[order].tolist())))
+            ids = array["tag"][lo:hi]
+            uniq, first = np.unique(ids, return_index=True)
+            if len(uniq) == 1:
+                self.tag_groups.append((tags[int(uniq[0])], durs, ens))
+            else:
+                for i in uniq[np.argsort(first)].tolist():
+                    sel = ids == i
+                    self.tag_groups.append((tags[i], durs[sel], ens[sel]))
+        transfers = hops = flits = n_bytes = 0
+        for kind, payload in items:
+            if kind == STEP_TRANSFER:
+                transfers += len(payload.steps)
+                for t in payload.steps:
+                    hops += t.hops
+                    flits += t.flits
+                    n_bytes += t.n_bytes
+        self.transfers = transfers
+        self.hops = hops
+        self.flits = flits
+        self.n_bytes = n_bytes
+
+
+def _transfer_copies(steps: Sequence[_TransferStep], chip: "PimChip",
+                     cells: np.ndarray, flat: Dict[int, np.ndarray],
+                     blocks: Set[int],
+                     ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The copies ``dst[d] = src[s]`` that move a transfer run's rows.
+
+    Each TRANSFER's source and destination cells are resolved to flat
+    indices of its tiles' arrays (``flat``: tile id -> the tile array
+    raveled) by indexing ``cells`` — one block's flat cell numbers — with
+    the serial handler's own selectors, so slicing, broadcasting and
+    bounds errors are numpy's, as in ``ChipExecutor._transfer``.  Both
+    blocks are materialized (bounds-checked) as serial dispatch does;
+    ``blocks`` holds the ones already done.
+
+    Consecutive transfers within one tile merge into one fancy-indexed
+    copy while the group stays hazard-free: no source cell was written
+    by an earlier transfer of the group (RAW) and no destination cell
+    twice (WAW).  A merged copy reads every source before it writes any
+    destination, so without a RAW pair each transfer reads what it reads
+    in serial order, without a WAW pair no write is reordered against
+    another, and a write-after-read pair needs no split.  A transfer
+    across tiles is a copy of its own.
+    """
+    cfg = chip.config
+    per_block = cfg.block_rows * cfg.row_words
+    bpt = cfg.blocks_per_tile
+    out: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    tile = -1  # the open group's tile
+    srcs: List[np.ndarray] = []
+    dsts: List[np.ndarray] = []
+    written: Set[int] = set()  # the open group's destination cells
+
+    def tile_cells(tid: int) -> np.ndarray:
+        arr = flat.get(tid)
+        if arr is None:
+            arr = flat[tid] = chip.tile(tid).data.reshape(-1)
+        return arr
+
+    def close() -> None:
+        if dsts:
+            arr = tile_cells(tile)
+            out.append((arr, np.concatenate(dsts), arr, np.concatenate(srcs)))
+            srcs.clear()
+            dsts.clear()
+            written.clear()
+
+    for t in steps:
+        for b in (t.src, t.dst):
+            if b not in blocks:
+                chip.block(b)
+                blocks.add(b)
+        src1, dst_col = t.src1, t.dst_col
+        if src1 is None or dst_col is None:
+            raise TypeError("TRANSFER needs src1 and dst word columns")
+        s_idx = cells[t.s_sel, src1:src1 + t.words]
+        if s_idx.shape[0] != t.n_rows:
+            raise ValueError("TRANSFER src/dst row selections must match in size")
+        d_idx = cells[t.d_sel, dst_col:dst_col + t.words]
+        if s_idx.shape != d_idx.shape:
+            s_idx = np.broadcast_to(s_idx, d_idx.shape)
+        s_tile, s_loc = divmod(t.src, bpt)
+        d_tile, d_loc = divmod(t.dst, bpt)
+        s_flat = (s_idx + s_loc * per_block).ravel()
+        d_flat = (d_idx + d_loc * per_block).ravel()
+        if s_tile != d_tile:
+            close()
+            out.append((tile_cells(d_tile), d_flat, tile_cells(s_tile), s_flat))
+            continue
+        d_cells = d_flat.tolist()
+        if s_tile != tile or not (written.isdisjoint(s_flat.tolist())
+                                  and written.isdisjoint(d_cells)):
+            close()
+            tile = s_tile
+        srcs.append(s_flat)
+        dsts.append(d_flat)
+        written.update(d_cells)
+    close()
+    return out
+
+
 class ExecutionPlan:
     """A lowered instruction stream, replayable by ``ChipExecutor.run``.
 
     Keeps the original ``instructions`` (the serial audit path and the
     re-lowering after a routing-epoch bump both need them) next to the
-    structured accounting ``array`` and the ordered ``steps`` the replay
-    engine walks.
+    structured accounting ``array``, the id -> tag table ``tags`` of its
+    ``tag`` column, the ordered ``steps`` (one per segment, TRANSFER and
+    DISPATCH row) and the ``runs`` the replay engine walks: the same
+    steps cut at the DISPATCH rows (:class:`_Run`).
     """
 
     __slots__ = (
-        "instructions", "array", "steps", "routing_epoch", "chip_name",
-        "replays", "schedule_stats", "apply_chip", "interned",
+        "instructions", "array", "tags", "steps", "runs", "routing_epoch",
+        "chip_name", "replays", "schedule_stats", "apply_chip", "interned",
+        "transfer_apply",
     )
 
     def __init__(self, instructions: List[Instruction], array: np.ndarray,
-                 steps: List[Tuple[int, Any]],
-                 routing_epoch: int, chip_name: str) -> None:
+                 tags: Tuple[str, ...], steps: List[Tuple[int, Any]],
+                 runs: List[_Run], routing_epoch: int, chip_name: str) -> None:
         self.instructions: List[Instruction] = instructions
         self.array: np.ndarray = array
+        self.tags: Tuple[str, ...] = tags
         self.steps: List[Tuple[int, Any]] = steps
+        self.runs: List[_Run] = runs
         #: ``PimChip.routing_epoch`` at lower time; a mismatch at run time
         #: means spare-block remapping moved a block and the resolved routes
         #: may be stale — the executor re-lowers instead of replaying them.
@@ -497,20 +659,42 @@ class ExecutionPlan:
         #: makespan bookkeeping attached by :func:`repro.pim.schedule.
         #: schedule_plan` (None for emission-order plans).
         self.schedule_stats: Optional[Dict[str, Any]] = None
-        #: the chip whose tile arrays the segments' lockstep programs
-        #: index, and the index arrays they share (see
-        #: :meth:`_VecSegment.build_apply`).
+        #: the chip whose tile arrays the segments' lockstep programs and
+        #: the transfer copies index, and the index arrays the programs
+        #: share (see :meth:`_VecSegment.build_apply`).
         self.apply_chip: Optional["PimChip"] = None
         self.interned: Dict[Hashable, Any] = {}
+        #: per transfer run (``_TransferRun.index``), its copies on
+        #: ``apply_chip`` (:meth:`build_transfer_apply`).
+        self.transfer_apply: Optional[List[List[Tuple[Any, ...]]]] = None
 
     def reset_apply(self, chip: "PimChip") -> None:
-        """Drop every lockstep program; the next functional replay builds
-        them for ``chip``."""
+        """Drop every lockstep program and transfer copy; the next
+        functional replay builds them for ``chip``."""
         for kind, payload in self.steps:
             if kind == STEP_SEGMENT:
                 payload.apply = None
         self.apply_chip = chip
         self.interned = {}
+        self.transfer_apply = None
+
+    def build_transfer_apply(self) -> List[List[Tuple[Any, ...]]]:
+        """Resolve every transfer run's copies on :attr:`apply_chip`
+        (see :func:`_transfer_copies`).  Nothing is kept unless every
+        TRANSFER resolves, so a bad one raises before any block changes."""
+        chip = self.apply_chip
+        assert chip is not None
+        cfg = chip.config
+        cells = np.arange(cfg.block_rows * cfg.row_words,
+                          dtype=np.intp).reshape(cfg.block_rows, cfg.row_words)
+        flat: Dict[int, np.ndarray] = {}
+        blocks: Set[int] = set()
+        self.transfer_apply = [
+            _transfer_copies(payload.steps, chip, cells, flat, blocks)
+            for run in self.runs for kind, payload in run.items
+            if kind == STEP_TRANSFER
+        ]
+        return self.transfer_apply
 
     @property
     def n_instructions(self) -> int:
@@ -619,46 +803,53 @@ def lower_program(
     pair), and maximal compute runs become :class:`_VecSegment` groups.
     """
     insts = list(instructions)
-    array, transfers = _cost_rows(chip, costs, insts)
-    return _assemble(chip, insts, array, transfers)
+    array, transfers, tags = _cost_rows(chip, costs, insts)
+    return _assemble(chip, insts, array, transfers, tags)
 
 
 def _cost_rows(
     chip: "PimChip", costs: "OpCosts", insts: Sequence[Instruction]
-) -> Tuple[np.ndarray, List[_TransferStep]]:
+) -> Tuple[np.ndarray, List[_TransferStep], Tuple[str, ...]]:
     """Per-instruction half of lowering: each instruction's cost row and
-    each TRANSFER's :class:`_TransferStep`, in stream order.  Each depends
-    on its own instruction alone, so a permuted stream's are permuted."""
-    n = len(insts)
-    array = np.zeros(n, dtype=PLAN_DTYPE)
+    each TRANSFER's :class:`_TransferStep`, in stream order, and the
+    id -> tag table of the rows' ``tag`` column.  Each row depends on its
+    own instruction alone, so a permuted stream's rows are permuted."""
     transfers: List[_TransferStep] = []
     xfer_templates: Dict[Tuple[int, Optional[int], int, int], Tuple[Any, ...]] = {}
+    tag_ids: Dict[str, int] = {}
+    # the columns, built as lists and stored once
+    ops: List[int] = []
+    durs: List[float] = []
+    energies: List[float] = []
+    nors: List[int] = []
+    tags: List[int] = []
     dev = costs.device
-    op_col = array["op"]
-    dur_col = array["dur"]
-    energy_col = array["energy"]
-    nors_col = array["nors"]
-    # per-opcode constants, resolved once per lowering
-    arith_dur = {op: costs.time_s(op.value) for op in ARITHMETIC_OPS}
-    arith_nors = {op: costs.nor_count(op.value) for op in ARITHMETIC_OPS}
+    # per-opcode constants by opcode id, resolved once per lowering
+    arith = {OP_IDS[op]: (op.value, costs.time_s(op.value),
+                          costs.nor_count(op.value)) for op in ARITHMETIC_OPS}
     copy_dur = COPY_NORS * dev.t_nor_s
     copy_e_unit = COPY_NORS * 32 * dev.e_nor_j
 
-    for i, inst in enumerate(insts):
-        op = inst.op
-        op_col[i] = OP_IDS[op]
-        if op in VECTORIZABLE_OPS:
+    for inst in insts:
+        op_id = OP_IDS[inst.op]
+        ops.append(op_id)
+        tag = tag_ids.get(inst.tag)
+        if tag is None:
+            tag = tag_ids[inst.tag] = len(tag_ids)
+        tags.append(tag)
+        nor = 0
+        if op_id in _VECTORIZABLE_IDS:
             # exact serial-handler cost expressions (see executor._arith &c.)
             n_rows = inst.n_rows
-            if op in ARITHMETIC_OPS:
-                dur = arith_dur[op]
-                energy = costs.energy_j(op.value, active_rows=n_rows)
-                nors_col[i] = arith_nors[op]
-            elif op is Opcode.COPY:
+            a = arith.get(op_id)
+            if a is not None:
+                name, dur, nor = a
+                energy = costs.energy_j(name, active_rows=n_rows)
+            elif op_id == _COPY_ID:
                 dur = copy_dur
                 energy = copy_e_unit * n_rows
-                nors_col[i] = COPY_NORS
-            elif op is Opcode.GATHER:
+                nor = COPY_NORS
+            elif op_id == _GATHER_ID:
                 n_unique = inst.n_unique_rows
                 if n_unique is None:
                     n_unique = len(np.unique(np.asarray(inst.row_map)))
@@ -670,9 +861,7 @@ def _cost_rows(
                 else:
                     dur = costs.broadcast_time_s(n_rows)
                 energy = costs.row_move_energy_j(n_rows, words=inst.words)
-            dur_col[i] = dur
-            energy_col[i] = energy
-        elif op is Opcode.TRANSFER:
+        elif op_id == _TRANSFER_ID:
             tpl = None
             if inst.src_block is not None:
                 key = (inst.src_block, inst.block, inst.n_rows, inst.words)
@@ -683,46 +872,80 @@ def _cost_rows(
                         inst.n_rows, inst.words)
             t = _TransferStep(inst, chip, costs, template=tpl)
             transfers.append(t)
-            dur_col[i] = t.dur
-            energy_col[i] = t.energy
-    return array, transfers
+            dur = t.dur
+            energy = t.energy
+        else:  # dispatched: priced by its serial handler at replay
+            dur = energy = 0.0
+        durs.append(dur)
+        energies.append(energy)
+        nors.append(nor)
+    array = np.zeros(len(insts), dtype=PLAN_DTYPE)
+    array["op"] = ops
+    array["dur"] = durs
+    array["energy"] = energies
+    array["nors"] = nors
+    array["tag"] = tags
+    return array, transfers, tuple(tag_ids)
 
 
 def _assemble(
     chip: "PimChip", insts: List[Instruction], array: np.ndarray,
-    transfers: Iterable[_TransferStep],
+    transfers: Iterable[_TransferStep], tags: Tuple[str, ...],
 ) -> ExecutionPlan:
-    """Step half of lowering: the steps of ``insts`` and their
+    """Step half of lowering: the steps and runs of ``insts`` and their
     :func:`_cost_rows` (possibly permuted)."""
     steps: List[Tuple[int, Any]] = []
+    runs: List[_Run] = []
+    items: List[Tuple[int, Any]] = []  # the open run's segments and transfer runs
+    run_start = 0  # first row of the open run
     seg_start = -1  # start index of the open vec segment, -1 when closed
+    xrun: List[_TransferStep] = []  # the open transfer run
+    n_xruns = 0
     xfers = iter(transfers)
 
     def flush(end: int) -> None:
-        nonlocal seg_start
+        """Close the open segment or transfer run (at most one is open)."""
+        nonlocal seg_start, n_xruns
         if seg_start >= 0:
-            steps.append((STEP_SEGMENT, _VecSegment(array, range(seg_start, end), insts)))
+            seg = _VecSegment(array, range(seg_start, end), insts)
+            steps.append((STEP_SEGMENT, seg))
+            items.append((STEP_SEGMENT, seg))
             seg_start = -1
+        elif xrun:
+            items.append((STEP_TRANSFER, _TransferRun(tuple(xrun), n_xruns)))
+            n_xruns += 1
+            xrun.clear()
 
     for i, op_id in enumerate(array["op"].tolist()):
         if op_id in _VECTORIZABLE_IDS:
             if seg_start < 0:
+                flush(i)
                 seg_start = i
             continue
-        flush(i)
         if op_id == _TRANSFER_ID:
-            steps.append((STEP_TRANSFER, next(xfers)))
+            if seg_start >= 0:
+                flush(i)
+            t = next(xfers)
+            steps.append((STEP_TRANSFER, t))
+            xrun.append(t)
         else:
             # LUT/HOSTOP/DRAM_*/BARRIER couple multiple clocks: replay
             # through the serial handlers, which stay the single source of
             # truth for their semantics.
+            flush(i)
             steps.append((STEP_DISPATCH, i))
+            runs.append(_Run(array, run_start, i, items, tags, dispatch=i))
+            items = []
+            run_start = i + 1
     flush(len(insts))
+    runs.append(_Run(array, run_start, len(insts), items, tags, dispatch=None))
 
     return ExecutionPlan(
         instructions=insts,
         array=array,
+        tags=tags,
         steps=steps,
+        runs=runs,
         routing_epoch=chip.routing_epoch,
         chip_name=chip.config.name,
     )

@@ -884,13 +884,15 @@ def schedule_plan(ex: "ChipExecutor", plan: ExecutionPlan) -> ExecutionPlan:
             raise RuntimeError(
                 "illegal schedule: " + "; ".join(violations[:3])
             )
-        # the cost rows and transfer steps do not depend on order and are
-        # never mutated: permute them; only the steps are assembled again.
+        # the cost rows (with their tag table) and transfer steps do not
+        # depend on order and are never mutated: permute them; only the
+        # steps and runs are assembled again.
         steps = iter(p for k, p in plan.steps if k == STEP_TRANSFER)
         transfers = {i: next(steps) for i, inst in enumerate(insts)
                      if inst.op is Opcode.TRANSFER}
         sched = _assemble(ex.chip, [insts[i] for i in order], plan.array[order],
-                          [transfers[i] for i in order if i in transfers])
+                          [transfers[i] for i in order if i in transfers],
+                          plan.tags)
         sched_s = _replay_makespan(ex, sched)
         if sched_s < emission_s:
             stats["scheduled_makespan_s"] = sched_s

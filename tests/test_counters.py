@@ -96,6 +96,47 @@ class TestOnOffBitIdentity:
         _assert_reports_identical(off, on, f"{key} serial counters-on")
         assert _state_digest(chip_on) == _state_digest(chip_off)
 
+    def test_scheduled_elastic_r1_step_identical(self):
+        """The transfer-heavy step (elastic r=1, four blocks per element,
+        scheduled): 4,360 TRANSFERs in short runs between short segments,
+        replayed twice functionally and once analytically from cold
+        clocks, with and without the recorder."""
+        from repro.core.kernels.elastic import ElasticFourBlockKernels
+        from repro.core.mapper import ElementMapper
+        from repro.dg import ElasticMaterial, HexMesh, ReferenceElement
+        from repro.pim.schedule import schedule_plan
+
+        mesh = HexMesh.from_refinement_level(1)
+        elem = ReferenceElement(2)
+        rng = np.random.default_rng(9)
+        n = mesh.n_elements
+        mat = ElasticMaterial(lam=rng.uniform(1.0, 2.0, n),
+                              mu=rng.uniform(0.5, 1.5, n),
+                              rho=rng.uniform(0.8, 1.2, n))
+        cfg = CHIP_CONFIGS["512MB"]
+        kern = ElasticFourBlockKernels(mesh, elem, mat,
+                                       ElementMapper(mesh.m, cfg, 4),
+                                       flux_kind="central")
+        state = (0.1 * rng.standard_normal((9, n, elem.n_nodes))
+                 ).astype(np.float32)
+        step = kern.time_step(1e-4)
+        runs = []
+        for counters in (False, True):
+            chip = PimChip(cfg)
+            ex = ChipExecutor(chip, counters=counters)
+            ex.run(kern.setup() + kern.load_state(state), functional=True)
+            plan = schedule_plan(ex, ex.lower(step))
+            assert plan.schedule_stats["kept"] and plan.n_transfers == 4360
+            reps = [ex.run(plan, functional=True) for _ in range(2)]
+            ex.reset_clocks()
+            reps.append(ex.run(plan, functional=False))
+            runs.append((chip, ex, reps))
+        (chip_off, _, off), (chip_on, ex_on, on) = runs
+        for k, (a, b) in enumerate(zip(off, on)):
+            _assert_reports_identical(a, b, f"elastic r=1 replay {k}")
+        assert _state_digest(chip_on) == _state_digest(chip_off)
+        assert ex_on.counters.transfers == on[-1].transfers == 4360
+
     def test_env_knob_default_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_COUNTERS", raising=False)
         assert not counters_enabled()

@@ -428,6 +428,21 @@ class TestFoldArray:
 
     def test_empty_values(self):
         assert fold_array(1.5, np.array([])) == 1.5
+        assert fold_array(1.5, ()) == 1.5
+
+    def test_tuple_of_python_floats_folds_like_the_array(self):
+        """Segments keep per-block durations as tuples of Python floats;
+        both forms fold to the same bits, short and long."""
+        rng = np.random.default_rng(5)
+        for n in (1, 3, 64, 65, 300):
+            vals = rng.standard_normal(n) * 1e-7
+            as_tuple = tuple(vals.tolist())
+            assert all(type(v) is float for v in as_tuple)
+            for base in (0.0, 3.25e-5):
+                got = fold_array(base, as_tuple)
+                want = fold_array(base, vals)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestLintRules:
@@ -697,6 +712,17 @@ def _ls_transfer(blocks):
         st.integers(1, 2), st.integers(1, LS_ROWS)).flatmap(build)
 
 
+def _xfer(src, dst, rows, src_rows, dst_col=0, src1=0, words=1,
+          tag="flux:fetch"):
+    """A TRANSFER of ``src_rows`` of block ``src`` (columns ``src1`` +
+    ``words``) into ``rows`` of block ``dst`` (from column ``dst_col``)."""
+    from repro.pim.isa import Instruction
+
+    return Instruction(Opcode.TRANSFER, block=dst, src_block=src, rows=rows,
+                       src_rows=src_rows, dst=dst_col, src1=src1,
+                       words=words, tag=tag)
+
+
 @st.composite
 def _lockstep_streams(draw):
     """``(blocks, stream, seed)``: one or two compute segments whose blocks
@@ -737,6 +763,18 @@ def _lockstep_streams(draw):
         cursor[k] += 1
     for t in draw(st.lists(_ls_transfer(blocks), max_size=8)):
         stream.insert(draw(st.integers(0, len(stream))), t)
+    # back-to-back runs among the blocks of one tile, which merge into one
+    # copy unless a hazard splits them: their rows and columns overlap
+    # often, so runs hold RAW/WAR/WAW pairs and hazard-free ones
+    tiles: dict = {}
+    for b in blocks:
+        tiles.setdefault(b // per_tile, []).append(b)
+    crowded = max(tiles.values(), key=len)
+    for run in draw(st.lists(st.lists(
+            _ls_transfer(crowded if len(crowded) > 1 else blocks),
+            min_size=2, max_size=5), max_size=2)):
+        at = draw(st.integers(0, len(stream)))
+        stream[at:at] = run
     split = draw(st.integers(0, len(stream)))
     if split and draw(st.booleans()):  # a BARRIER ends the first segment
         stream.insert(split, barrier())
@@ -797,13 +835,21 @@ class TestLockstepDifferential:
         _ls_check(blocks, stream, seed=1)
 
     def test_plan_replayed_on_another_chip_writes_that_chip(self):
-        """Lockstep programs index one chip's tile arrays; replaying the
-        plan through another chip's executor rebuilds them for it."""
+        """Lockstep programs and transfer copies index one chip's tile
+        arrays; replaying the plan through another chip's executor
+        rebuilds them for it."""
         from repro.pim.isa import Instruction
 
         blocks = [0, 1, 5]
         stream = [Instruction(Opcode.ADD, block=b, rows=(0, 8), dst=2,
                               src1=0, src2=1) for b in blocks]
+        stream += [  # one tile, then across tiles, then back
+            _xfer(0, 1, (0, 8), (4, 12), dst_col=3, src1=2),
+            _xfer(1, 5, np.array([7, 1, 3]), (0, 3), dst_col=0, src1=3),
+            _xfer(5, 0, (2, 6), np.array([9, 8, 0, 2]), dst_col=1, src1=2),
+        ]
+        stream += [Instruction(Opcode.MUL, block=b, rows=(0, 8), dst=2,
+                               src1=3, src2=0) for b in blocks]
         chip_s, chip_a, chip_b = (_lockstep_chip() for _ in range(3))
         for chip in (chip_s, chip_a, chip_b):
             _ls_load(chip, blocks, seed=3)
@@ -847,6 +893,241 @@ class TestLockstepDifferential:
         with pytest.raises((IndexError, ValueError)):
             ChipExecutor(chip).run(stream, functional=True)
         assert _ls_digests(chip, blocks) == before
+
+
+def _two_tile_chip():
+    """Two tiles of four 16-row blocks."""
+    from repro.pim.params import ChipConfig
+
+    block_bytes = 16 * 1024 // 8
+    return PimChip(ChipConfig(name="two-tile-test",
+                              capacity_bytes=2 * 4 * block_bytes,
+                              block_rows=16, blocks_per_tile=4))
+
+
+def _copies_per_run(plan):
+    """Number of copies each transfer run of ``plan`` moves in."""
+    return [len(copies) for copies in plan.transfer_apply]
+
+
+class TestTransferRuns:
+    """A run of consecutive TRANSFERs moves in one fancy-indexed copy per
+    hazard-free group on one tile array; the split rule keeps every read
+    and write in serial order (DESIGN.md §12)."""
+
+    #: ``(stream, copies)``: each stream is one transfer run between two
+    #: compute ops, ``copies`` the copies it must take.  Blocks A, B, C
+    #: are 0, 1, 2 on tile 0; block 5 is on tile 1.
+    CASES = {
+        # B's column 1 rows 0-4 are written, then read on to C
+        "raw_chain": ([
+            _xfer(0, 1, (0, 4), (0, 4), dst_col=1, src1=0),
+            _xfer(1, 2, (4, 8), (0, 4), dst_col=2, src1=1),
+        ], 2),
+        # rows 2-3 of B's column 1 are written twice: the second wins
+        "waw": ([
+            _xfer(0, 1, (0, 4), (0, 4), dst_col=1, src1=0),
+            _xfer(2, 1, (2, 6), (4, 8), dst_col=1, src1=0),
+        ], 2),
+        # B's column 1 is read, then overwritten: one copy reads first
+        "war": ([
+            _xfer(1, 2, (0, 4), (0, 4), dst_col=3, src1=1),
+            _xfer(0, 1, (0, 4), (4, 8), dst_col=1, src1=0),
+        ], 1),
+        # tile 0 -> tile 1 -> tile 0, reading what the last one wrote
+        "cross_tile": ([
+            _xfer(0, 5, (0, 4), (0, 4), dst_col=2, src1=0),
+            _xfer(5, 1, (8, 12), (0, 4), dst_col=2, src1=2),
+            _xfer(1, 2, (0, 4), (0, 4), dst_col=0, src1=1),
+        ], 3),
+        # index arrays and ranges: the first three touch disjoint cells
+        # and share a copy; the last reads rows the first two wrote
+        "mixed_selectors": ([
+            _xfer(0, 1, np.array([9, 3, 5]), (0, 3), dst_col=2, src1=0,
+                  words=2),
+            _xfer(2, 1, (10, 13), np.array([1, 7, 4]), dst_col=2, src1=1,
+                  words=2),
+            _xfer(3, 2, np.array([0, 15]), np.array([6, 2]), dst_col=0,
+                  src1=3),
+            _xfer(1, 3, (0, 2), np.array([11, 5]), dst_col=1, src1=3),
+        ], 2),
+    }
+
+    @staticmethod
+    def _check(stream):
+        from repro.pim.isa import Instruction
+
+        blocks = sorted({b for i in stream for b in (i.block, i.src_block)})
+        # compute on both sides keeps the TRANSFERs one run between segments
+        stream = (
+            [Instruction(Opcode.ADD, block=b, rows=(0, 16), dst=0, src1=0,
+                         src2=1, tag="volume") for b in blocks]
+            + stream
+            + [Instruction(Opcode.MUL, block=b, rows=(0, 16), dst=4, src1=0,
+                           src2=2, tag="volume") for b in blocks])
+        chip_s, chip_p = _two_tile_chip(), _two_tile_chip()
+        for chip in (chip_s, chip_p):
+            _ls_load(chip, blocks, seed=11)
+        ex_s, ex_p = ChipExecutor(chip_s), ChipExecutor(chip_p)
+        plan = ex_p.lower(stream)
+        for rep in range(2):
+            serial = ex_s.run(stream, functional=True, serial=True)
+            replay = ex_p.run(plan, functional=True)
+            _assert_reports_identical(serial, replay, f"transfer run {rep}")
+            assert _ls_digests(chip_p, blocks) == _ls_digests(chip_s, blocks)
+        return plan
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_serial(self, case):
+        stream, copies = self.CASES[case]
+        plan = self._check(stream)
+        assert _copies_per_run(plan) == [copies]
+
+    def test_row_count_mismatch_raises_before_any_block_changes(self):
+        """A bad TRANSFER later in the plan raises before the plan's first
+        copy or compute op runs."""
+        from repro.pim.isa import Instruction
+
+        stream = [
+            Instruction(Opcode.ADD, block=0, rows=(0, 8), dst=2, src1=0,
+                        src2=1),
+            _xfer(0, 1, (0, 4), (0, 4), dst_col=1, src1=0),
+            Instruction(Opcode.ADD, block=1, rows=(0, 8), dst=2, src1=0,
+                        src2=1),
+            _xfer(1, 2, (0, 4), (0, 6), dst_col=1, src1=0),
+        ]
+        chip = _two_tile_chip()
+        _ls_load(chip, [0, 1, 2], seed=5)
+        before = _ls_digests(chip, [0, 1, 2])
+        ex = ChipExecutor(chip)
+        plan = ex.lower(stream)
+        for _ in range(2):  # nothing is kept from the failed build
+            with pytest.raises(ValueError, match="must match in size"):
+                ex.run(plan, functional=True)
+            assert plan.transfer_apply is None
+            assert _ls_digests(chip, [0, 1, 2]) == before
+
+    def test_emission_and_scheduled_twin_on_two_chips(self):
+        """``schedule_plan`` shares ``_TransferStep`` objects between the
+        emission plan and its scheduled twin; each plan keeps its own
+        per-chip copies, so replaying the two in turn on two chips writes
+        each chip as its own serial run does."""
+        from repro.pim.isa import Instruction
+        from repro.pim.schedule import schedule_plan
+
+        blocks = [0, 1, 2, 5]
+        stream = [Instruction(Opcode.MUL, block=0, rows=(0, 12), dst=5 + k,
+                              src1=0, src2=1) for k in range(6)]
+        stream += [
+            _xfer(0, 1, (0, 8), (0, 8), dst_col=4, src1=5),
+            _xfer(2, 5, np.array([3, 1, 0]), (4, 7), dst_col=4, src1=2),
+            _xfer(5, 2, (0, 3), np.array([8, 2, 6]), dst_col=5, src1=3),
+        ]
+        stream += [Instruction(Opcode.ADD, block=b, rows=(0, 12), dst=3,
+                               src1=1, src2=2) for b in (1, 2, 5)]
+        chips = [_two_tile_chip() for _ in range(4)]
+        for chip in chips:
+            _ls_load(chip, blocks, seed=8)
+        ex_a, ex_b, ref_a, ref_b = (ChipExecutor(c) for c in chips)
+        emission = ex_a.lower(stream)
+        twin = schedule_plan(ex_b, emission)
+        assert twin.schedule_stats["kept"]
+        steps = {id(p) for k, p in emission.steps if k == 1}
+        assert steps == {id(p) for k, p in twin.steps if k == 1}
+        for _ in range(2):
+            ex_a.run(emission, functional=True)
+            ex_b.run(twin, functional=True)
+            ref_a.run(emission.instructions, functional=True, serial=True)
+            ref_b.run(twin.instructions, functional=True, serial=True)
+            assert _ls_digests(chips[0], blocks) == _ls_digests(chips[2], blocks)
+            assert _ls_digests(chips[1], blocks) == _ls_digests(chips[3], blocks)
+
+    def test_routing_epoch_bump_rebuilds_transfer_copies(self, monkeypatch):
+        """A stale plan is lowered again, and the new plan resolves its
+        own copies; the result still equals serial dispatch."""
+        stream = self.CASES["cross_tile"][0]
+        blocks = [0, 1, 2, 5]
+        chip_s, chip_p = _two_tile_chip(), _two_tile_chip()
+        for chip in (chip_s, chip_p):
+            _ls_load(chip, blocks, seed=2)
+        ex_s, ex_p = ChipExecutor(chip_s), ChipExecutor(chip_p)
+        built = []
+        real = ExecutionPlan.build_transfer_apply
+
+        def spy(plan):
+            built.append(plan)
+            return real(plan)
+
+        monkeypatch.setattr(ExecutionPlan, "build_transfer_apply", spy)
+        plan = ex_p.lower(stream)
+        ex_p.run(plan, functional=True)
+        ex_s.run(stream, functional=True, serial=True)
+        assert built == [plan]
+        chip_p.invalidate_routes()
+        serial = ex_s.run(stream, functional=True, serial=True)
+        replay = ex_p.run(plan, functional=True)
+        _assert_reports_identical(serial, replay, "re-lowered replay")
+        assert _ls_digests(chip_p, blocks) == _ls_digests(chip_s, blocks)
+        assert len(built) == 2 and built[1] is not plan
+        assert built[1].routing_epoch == chip_p.routing_epoch
+        assert plan.transfer_apply is not built[1].transfer_apply
+
+
+class TestAccountingRuns:
+    """Plan replay folds each run of segments and TRANSFERs between two
+    DISPATCH rows once per tag; the dispatches' own addends must land
+    between the runs' folds exactly as serial dispatch orders them."""
+
+    @staticmethod
+    def _stream():
+        from repro.pim.isa import Instruction, barrier, dram_swap
+
+        def compute(tag, k):
+            return [Instruction(Opcode.ADD if j % 2 else Opcode.MUL,
+                                block=b, rows=(0, 4 + j + k), dst=2,
+                                src1=0, src2=1, tag=tag)
+                    for j, b in enumerate((0, 1, 5))]
+
+        def fetch(tag, k):
+            return [_xfer(0, 1, (0, 3 + k), (0, 3 + k), dst_col=3, src1=2,
+                          tag=tag),
+                    _xfer(5, 2, (4, 6), (k, k + 2), dst_col=3, src1=2,
+                          words=2, tag=tag)]
+
+        host = Instruction(Opcode.HOSTOP, count=17, tag="volume")
+        lut = Instruction(Opcode.LUT, block=1, src_block=2, rows=(0, 4),
+                          src1=6, dst=7, tag="flux:fetch")
+        load = Instruction(Opcode.DRAM_LOAD, block=5, rows=(0, 6), words=3,
+                           tag="flux")
+        return (
+            [barrier()]  # a dispatch first
+            + compute("volume", 0) + fetch("flux:fetch", 0)
+            + compute("flux", 1) + [host]
+            + fetch("flux:fetch", 1) + compute("volume", 2) + [lut]
+            + compute("flux", 3) + fetch("volume", 2)
+            + [load, barrier()]  # two adjacent dispatches: an empty run
+            + fetch("flux", 3) + compute("flux:fetch", 4)
+            + [dram_swap(Opcode.DRAM_STORE, 4096)]  # a dispatch last
+        )
+
+    @pytest.mark.parametrize("functional", [False, True])
+    def test_report_equals_serial_bit_for_bit(self, functional):
+        stream = self._stream()
+        blocks = [0, 1, 2, 5]
+        chip_s, chip_p = _two_tile_chip(), _two_tile_chip()
+        for chip in (chip_s, chip_p):
+            _ls_load(chip, blocks, seed=4)
+        ex_s, ex_p = ChipExecutor(chip_s), ChipExecutor(chip_p)
+        plan = ex_p.lower(stream)
+        assert [r.n for r in plan.runs][:2] == [0, 8]
+        assert 0 in [r.n for r in plan.runs][2:-1]  # the adjacent dispatches
+        assert plan.runs[-1].n == 0 and plan.runs[-1].dispatch is None
+        for rep in range(2):
+            serial = ex_s.run(stream, functional=functional, serial=True)
+            replay = ex_p.run(plan, functional=functional)
+            _assert_reports_identical(serial, replay, f"accounting {rep}")
+            assert list(replay.op_counts) == list(serial.op_counts)
+        assert _ls_digests(chip_p, blocks) == _ls_digests(chip_s, blocks)
 
 
 def _sched_check(blocks, stream, seed):
