@@ -58,10 +58,10 @@ class MemoryBlock:
         accepts either form; timing is row-count independent either way.
 
         Side-effect-free by contract: the plan engine
-        (:meth:`repro.pim.plan._VecSegment.build_apply`) validates whole
-        segments through ``_rows``/``_cols`` *before* mutating any block
-        state, which is what makes a rejected segment execute nothing at
-        all under plan replay.
+        (:class:`repro.pim.plan._ProgramBuilder`) validates a whole plan
+        through ``_rows``/``_cols`` *before* mutating any block state,
+        which is what makes a rejected plan execute nothing at all under
+        plan replay.
         """
         if isinstance(rows, tuple):
             r0, r1 = rows

@@ -46,7 +46,7 @@ from repro.pim.arithmetic import HostOpModel, OpCosts, default_op_costs
 from repro.pim.chip import PimChip
 from repro.pim.isa import ARITHMETIC_OPS, Instruction, Opcode
 from repro.pim.plan import (
-    APPLY_MOVE,
+    APPLY_FILL,
     APPLY_UFUNC,
     COPY_NORS,
     STEP_SEGMENT,
@@ -407,11 +407,21 @@ class ChipExecutor:
             elif plan.routing_epoch != self.chip.routing_epoch:
                 # spare-block remapping moved a block since this plan was
                 # lowered: its resolved routes may be stale.  Re-lower
-                # against the current topology rather than replaying them.
-                plan = self.lower(plan.instructions)
-                metrics = get_metrics()
-                if metrics.enabled:
-                    metrics.inc("executor.plan.relowered")
+                # against the current topology rather than replaying them,
+                # once per chip and epoch; the instruction order is the
+                # same, so the schedule stats still hold.
+                kept = plan.relowered
+                if (kept is not None and kept[0] is self.chip
+                        and kept[1].routing_epoch == self.chip.routing_epoch):
+                    plan = kept[1]
+                else:
+                    fresh = self.lower(plan.instructions)
+                    fresh.schedule_stats = plan.schedule_stats
+                    plan.relowered = (self.chip, fresh)
+                    plan = fresh
+                    metrics = get_metrics()
+                    if metrics.enabled:
+                        metrics.inc("executor.plan.relowered")
             mode = "plan"
         counts_before = dict(faults.counts) if faults_on else None
         with get_tracer().span("pim/run", chip=self.chip.config.name,
@@ -559,25 +569,23 @@ class ChipExecutor:
         as serial dispatch, see :mod:`repro.pim.plan`).  Compute segments
         advance each block's clock by an exact left-fold of precomputed
         durations from the serial starting point (``_compute_start``
-        dominates after the first op) and — when ``functional`` — execute
-        the segment's lockstep apply program; TRANSFERs replay the clock
+        dominates after the first op); TRANSFERs replay the clock
         arithmetic of :meth:`_transfer` from precomputed routes and port
-        keys, and each transfer run moves its rows with the plan's
-        per-chip copies; everything that couples multiple clocks
-        (LUT/HOSTOP/DRAM/BARRIER) dispatches through the unchanged serial
-        handlers.  Bit-identical to ``run(plan.instructions, serial=True)``.
+        keys.  When ``functional``, each run then executes its program —
+        lockstep numpy calls over the tile arrays, built on the first
+        functional replay on this chip, which validates every op of the
+        plan before any executes (:meth:`ExecutionPlan.build_programs`).
+        Everything that couples multiple clocks (LUT/HOSTOP/DRAM/BARRIER)
+        dispatches through the unchanged serial handlers after its run.
+        Bit-identical to ``run(plan.instructions, serial=True)``.
         """
         plan.replays += 1
         insts = plan.instructions
-        copies = None
+        programs = None
         if functional:
-            if plan.apply_chip is not self.chip:
-                # lockstep programs and transfer copies index one chip's
-                # tile arrays: (re)build them for this chip on the way.
-                plan.reset_apply(self.chip)
-            copies = plan.transfer_apply
-            if copies is None:
-                copies = plan.build_transfer_apply()
+            programs = plan.programs
+            if programs is None or plan.apply_chip is not self.chip:
+                programs = plan.build_programs(self.chip)
         bc = self._block_clock
         pf = self._port_free
         sw = self._switch_free
@@ -597,7 +605,7 @@ class ChipExecutor:
             s_app = x_app = None
         time_by_tag = report.time_by_tag
         energy_by_tag = report.energy_by_tag
-        for run in plan.runs:
+        for r, run in enumerate(plan.runs):
             if run.n:
                 for tag, durs, ens in run.tag_groups:
                     time_by_tag[tag] = fold_array(time_by_tag[tag], durs)
@@ -628,10 +636,8 @@ class ChipExecutor:
                             bc[block] = end
                             if s_app is not None:
                                 s_app(start)
-                        if functional:
-                            self._segment_apply(payload, plan)
                         continue
-                    for t in payload.steps:
+                    for t in payload:
                         # the fault-free clock arithmetic of _transfer
                         rport = t.rport
                         wport = t.wport
@@ -657,37 +663,20 @@ class ChipExecutor:
                             # contract): occupancy, flits and hops derive
                             # from the step object at finalize time.
                             x_app((t, ready, ready0))
-                    if copies is not None:
-                        for dst, d_idx, src, s_idx in copies[payload.index]:
-                            dst[d_idx] = src[s_idx]
+                if programs is not None:
+                    for step in programs[r]:
+                        kind = step[0]
+                        if kind == APPLY_UFUNC:
+                            _, a, dst, fn, s1, s2 = step
+                            a[dst] = fn(a[s1], a[s2])
+                        elif kind == APPLY_FILL:
+                            _, a, dst, value = step
+                            a[dst] = value
+                        else:  # APPLY_MOVE
+                            _, a, dst, b, src = step
+                            a[dst] = b[src]
             if run.dispatch is not None:
                 self._dispatch(insts[run.dispatch], functional, report)
-
-    def _segment_apply(self, seg, plan: ExecutionPlan) -> None:
-        """Execute one segment's functional effects.
-
-        The lockstep program is built lazily on the first functional
-        replay on this chip (see
-        :meth:`~repro.pim.plan._VecSegment.build_apply`); bounds were
-        validated at build time, so replay is raw float32 column math on
-        the tile arrays — one numpy call per group of blocks issuing the
-        same op, elementwise identical to the serial :class:`MemoryBlock`
-        calls.
-        """
-        prog = seg.apply
-        if prog is None:
-            prog = seg.build_apply(plan.instructions, self.chip, plan.interned)
-        for step in prog:
-            kind = step[0]
-            if kind == APPLY_UFUNC:
-                _, a, dst, fn, s1, s2 = step
-                a[dst] = fn(a[s1], a[s2])
-            elif kind == APPLY_MOVE:
-                _, a, dst, src = step
-                a[dst] = a[src]
-            else:  # APPLY_FILL
-                _, a, dst, value = step
-                a[dst] = value
 
     # ------------------------------------------------------------------ #
 

@@ -12,14 +12,14 @@ clock advance instead of thousands of Python dispatches.
 
 Plan replay runs every fault-free execution (DESIGN.md §13), analytic
 and functional.  Functional replay runs the blocks in lockstep, as the
-chip does: a segment holds only block-local compute ops, so ops of
-different blocks commute, and each segment's program (built lazily by
-:meth:`_VecSegment.build_apply`) issues one numpy call over a tile's
-block array (:attr:`repro.pim.tile.Tile.data`) for every group of blocks
-whose next op is the same, keeping each block's own op order.  Serial
-dispatch is the audit reference (``ChipExecutor.run(..., serial=True)``)
-and runs every stream with an enabled fault model, whose overheads move
-block clocks in the middle of a segment.
+chip does: each *run* of segment and TRANSFER rows between two DISPATCH
+rows gets one program (:class:`_ProgramBuilder`, built on the first
+functional replay on a chip), whose entries each issue one numpy call
+over a tile's block array (:attr:`repro.pim.tile.Tile.data`) for a group
+of blocks running the same op, or one copy for a group of TRANSFERs.
+Serial dispatch is the audit reference (``ChipExecutor.run(...,
+serial=True)``) and runs every stream with an enabled fault model, whose
+overheads move block clocks in the middle of a segment.
 
 Bit-identity contract
 ---------------------
@@ -55,10 +55,7 @@ The plan path must produce a :class:`~repro.pim.executor.TimingReport`
 Coupling opcodes keep their serial handlers: TRANSFER gets a precomputed
 fast-path row (route, flit count, phase latencies, port keys *and* the
 functional row selectors resolved at lower time); LUT/HOSTOP/DRAM/BARRIER
-dispatch through the executor unchanged.  Functional replay resolves a
-plan's TRANSFERs to copies on one chip's tile arrays
-(:meth:`ExecutionPlan.build_transfer_apply`): each run of consecutive
-TRANSFERs moves in one fancy-indexed copy per hazard-free group.
+dispatch through the executor unchanged, between runs.
 
 A plan records the chip's ``routing_epoch`` at lower time; if spare-block
 remapping has invalidated the routes since, the executor re-lowers
@@ -68,6 +65,7 @@ instead of replaying stale paths.
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -136,17 +134,17 @@ STEP_SEGMENT = 0
 STEP_TRANSFER = 1
 STEP_DISPATCH = 2
 
-#: lockstep-program entry kinds (first element of a ``_VecSegment.apply``
-#: entry ``(kind, array, dst index, ...)``):
-#: ``array[dst] = ufunc(array[a], array[b])`` (ADD/SUB/MUL),
-#: ``array[dst] = array[src]`` (COPY, and GATHER with the row map in
-#: ``src``) and ``array[dst] = value`` (BROADCAST).
+#: run-program entry kinds (first element of each entry of a run's
+#: functional program, see :class:`_ProgramBuilder`):
+#: ``a[dst] = ufunc(a[s1], a[s2])`` (ADD/SUB/MUL), ``a[dst] = b[src]``
+#: (COPY, GATHER with the row map in ``src``, and TRANSFER copies between
+#: raveled tile arrays) and ``a[dst] = value`` (BROADCAST).
 APPLY_UFUNC = 0
 APPLY_MOVE = 1
 APPLY_FILL = 2
 
-#: ufunc per arithmetic opcode id: the lockstep apply computes the exact
-#: same float32 elementwise operation as ``MemoryBlock.add``/``sub``/``mul``.
+#: ufunc per arithmetic opcode id: a program computes the exact same
+#: float32 elementwise operation as ``MemoryBlock.add``/``sub``/``mul``.
 _APPLY_UFUNCS = {
     OP_IDS[Opcode.ADD]: np.add,
     OP_IDS[Opcode.SUB]: np.subtract,
@@ -183,7 +181,7 @@ def fold_array(base: float, values: Sequence[float]) -> float:
 class _VecSegment:
     """A maximal run of compute ops, pre-grouped per block for replay."""
 
-    __slots__ = ("n", "start", "stop", "block_groups", "apply")
+    __slots__ = ("n", "start", "stop", "block_groups")
 
     def __init__(self, array: np.ndarray, indices: range,
                  insts: Sequence[Instruction]) -> None:
@@ -208,195 +206,6 @@ class _VecSegment:
             (block, tuple(durs), nors, len(durs))
             for block, (durs, nors) in groups.items()
         ]
-        #: functional apply program, built lazily on the first functional
-        #: replay (analytic replays never pay for it).
-        self.apply: Optional[List[Tuple[Any, ...]]] = None
-
-    def build_apply(self, insts: Sequence[Instruction], chip: "PimChip",
-                    interned: Dict[Hashable, Any]) -> List[Tuple[Any, ...]]:
-        """Compile this segment's functional effects into a lockstep program.
-
-        A segment holds only block-local compute ops, so ops of different
-        blocks touch disjoint memory and commute: only each block's own
-        stream order matters.  The build queues every block's ops in
-        stream order, then merges the queues in *lockstep* rounds — each
-        round takes the next op of every block, and the blocks of one tile
-        whose next ops share a signature (opcode, row selector, columns,
-        ``row_map``) become one numpy call over the tile array
-        (:attr:`repro.pim.tile.Tile.data`), indexed by those blocks.  That
-        is how the chip runs an instruction: every block at once, row-
-        parallel (§4–§5).  BROADCAST values are stacked per block; a group
-        of one block indexes that block's 2-D view directly.  Each call
-        computes the same float32 elementwise operation as the serial
-        :class:`~repro.pim.block.MemoryBlock` method on each of its
-        blocks, so block state stays bit-identical to serial dispatch.
-
-        Validation (row/column bounds, row-map shape and bounds, broadcast
-        shape) runs here with the ``MemoryBlock`` checks for every op
-        before anything executes, so an out-of-bounds op in any block
-        raises with all block state untouched.  Index arrays — row
-        selectors, row maps and block sets, which recur every RK stage —
-        are interned in ``interned`` (one table per plan): replay memory
-        holds one copy per distinct array, and a row index array is
-        bounds-checked once, when first seen.
-        """
-        bpt = chip.config.blocks_per_tile
-        blocks: Dict[Any, "MemoryBlock"] = {}
-        #: per block, in stream order: (signature id, signature, row
-        #: selector, row map or BROADCAST value)
-        queues: Dict[Any, List[Tuple[int, Tuple[Any, ...], Any, Any]]] = {}
-        sig_ids: Dict[Tuple[Any, ...], int] = {}
-        for i in range(self.start, self.stop):
-            inst = insts[i]
-            op = inst.op
-            blk = blocks.get(inst.block)
-            if blk is None:
-                blk = blocks[inst.block] = chip.block(inst.block)
-                queues[inst.block] = []
-            rkey, rsel, n_sel = _row_selector(interned, inst.rows, blk)
-            src = inst.src1
-            other: Any = None
-            extra: Any = None
-            if op is Opcode.GATHER:
-                blk._cols(inst.dst, src)
-                row_map = np.asarray(inst.row_map, dtype=np.int64)
-                if row_map.shape != (n_sel,):
-                    raise ValueError(
-                        f"row_map must have {n_sel} entries, got {row_map.shape}"
-                    )
-                other, extra = _row_map_selector(interned, row_map, blk)
-            elif op is Opcode.BROADCAST:
-                blk._cols(inst.dst)
-                extra = np.asarray(inst.value, dtype=np.float32)
-                if extra.ndim not in (0, 1):
-                    raise ValueError("broadcast value must be scalar or 1-D")
-                if extra.ndim == 1 and extra.shape != (n_sel,):
-                    raise ValueError(f"broadcast vector must have {n_sel} entries")
-                src = None
-                other = extra.ndim
-            elif op is Opcode.COPY:
-                blk._cols(inst.dst, src)
-            else:
-                blk._cols(inst.dst, src, inst.src2)
-                other = inst.src2
-            sig = (blk.block_id // bpt, OP_IDS[op], rkey, inst.dst, src, other)
-            queues[inst.block].append(
-                (sig_ids.setdefault(sig, len(sig_ids)), sig, rsel, extra))
-
-        prog: List[Tuple[Any, ...]] = []
-        heads = dict.fromkeys(queues, 0)
-        while heads:
-            groups: Dict[int, List[Any]] = {}
-            for b, pos in heads.items():
-                groups.setdefault(queues[b][pos][0], []).append(b)
-            for group in groups.values():
-                entries = [queues[b][heads[b]] for b in group]
-                if len(group) == 1:
-                    prog.append(_lockstep_call(
-                        blocks[group[0]].data, None, None, entries))
-                    continue
-                tile_id = entries[0][1][0]
-                base = tile_id * bpt
-                flat, column = _block_selector(
-                    interned, tuple(b - base for b in group))
-                prog.append(_lockstep_call(
-                    chip.tile(tile_id).data, flat, column, entries))
-            heads = {b: pos + 1 for b, pos in heads.items()
-                     if pos + 1 < len(queues[b])}
-        self.apply = prog
-        return prog
-
-
-def _row_selector(interned: Dict[Hashable, Any], rows: Any,
-                  blk: "MemoryBlock") -> Tuple[Hashable, Any, int]:
-    """Validate a row selector; return its signature key, numpy selector
-    and row count.
-
-    Ranges are checked by ``MemoryBlock._rows`` on every use.  An index
-    array is checked by it once per plan: the interned table only holds
-    arrays that passed, and every block of a chip has the same rows.
-    """
-    if isinstance(rows, tuple):
-        sel, n = blk._rows(rows)
-        return (int(sel.start), int(sel.stop)), sel, n
-    idx = np.asarray(rows, dtype=np.int64)
-    hit = interned.get(idx.tobytes()) if idx.ndim == 1 else None
-    if hit is None:
-        blk._rows(idx)
-        hit = interned[idx.tobytes()] = _index_selector(idx, len(interned))
-    return hit
-
-
-def _row_map_selector(interned: Dict[Hashable, Any], row_map: np.ndarray,
-                      blk: "MemoryBlock") -> Tuple[Hashable, Any]:
-    """Validate a GATHER row map (1-D, shape already checked) once per
-    plan, like :func:`_row_selector`; return its key and selector."""
-    hit = interned.get(row_map.tobytes())
-    if hit is None:
-        if row_map.size and (
-            np.any(row_map < 0) or np.any(row_map >= blk.rows)
-        ):
-            raise IndexError("row_map entry outside block")
-        hit = interned[row_map.tobytes()] = _index_selector(
-            row_map, len(interned))
-    return hit[0], hit[1]
-
-
-def _index_selector(idx: np.ndarray, key: int) -> Tuple[Hashable, Any, int]:
-    """``(key, selector, count)`` of a valid 1-D row index array: a
-    read-only copy, keyed by the integer ``key``."""
-    arr = idx.copy()
-    arr.flags.writeable = False
-    return key, arr, idx.size
-
-
-def _block_selector(interned: Dict[Hashable, Any],
-                    local_ids: Tuple[int, ...]) -> Tuple[Any, Any]:
-    """Tile-array selectors of a block set: the interned ``(k,)`` index
-    array and its ``(k, 1)`` column form, which broadcasts against a row
-    index array."""
-    hit = interned.get(local_ids)
-    if hit is None:
-        flat = np.array(local_ids, dtype=np.intp)
-        flat.flags.writeable = False
-        hit = interned[local_ids] = (flat, flat[:, None])
-    return hit
-
-
-def _lockstep_call(arr: np.ndarray, flat: Any, column: Any,
-                   entries: List[Tuple[int, Tuple[Any, ...], Any, Any]]
-                   ) -> Tuple[Any, ...]:
-    """One program entry running ``entries`` — one op per block, all with
-    the same signature — as a single numpy call on ``arr``.
-
-    ``arr`` is a tile array indexed by the block selectors ``flat`` /
-    ``column`` (:func:`_block_selector`), or one block's 2-D view when
-    ``flat`` is None.  Every index selects a ``(blocks, rows)`` plane of
-    one word column (a ``rows`` vector for one block), the same shape on
-    both sides of the assignment.
-    """
-    _, (_, code, _, dst_col, src_col, other), rsel, extra = entries[0]
-
-    def at(r: Any, col: int) -> Tuple[Any, ...]:
-        if flat is None:
-            return (r, col)
-        return (flat, r, col) if isinstance(r, slice) else (column, r, col)
-
-    dst = at(rsel, dst_col)
-    if code == _BROADCAST_ID:
-        if flat is None:
-            value = extra
-        elif other == 0:
-            value = np.array([e[3] for e in entries], dtype=np.float32)[:, None]
-        else:
-            value = np.stack([e[3] for e in entries])
-        return (APPLY_FILL, arr, dst, value)
-    if code == _GATHER_ID:
-        return (APPLY_MOVE, arr, dst, at(extra, src_col))
-    if code == _COPY_ID:
-        return (APPLY_MOVE, arr, dst, at(rsel, src_col))
-    return (APPLY_UFUNC, arr, dst, _APPLY_UFUNCS[code], at(rsel, src_col),
-            at(rsel, other))
 
 
 class _TransferStep:
@@ -406,8 +215,8 @@ class _TransferStep:
     ``ChipExecutor._transfer``; replay re-runs only the readiness ``max``
     and the switch/port updates, through the precomputed port keys
     ``rport``/``wport``.  The functional row selectors are precomputed
-    too; the copies they make are resolved per plan and per chip
-    (:meth:`ExecutionPlan.build_transfer_apply`), never stored here: the
+    too; the copies they make are resolved per plan and per chip (in its
+    run programs, :class:`_ProgramBuilder`), never stored here: the
     makespan scheduler shares these objects between two plans.
     """
 
@@ -474,17 +283,6 @@ def _transfer_cost_template(chip: "PimChip", costs: "OpCosts", src: int,
             dur, energy, n_rows * words * 4, ic.exclusive)
 
 
-class _TransferRun:
-    """Consecutive TRANSFER steps of one plan.  ``index`` names their
-    functional copies in :attr:`ExecutionPlan.transfer_apply`."""
-
-    __slots__ = ("steps", "index")
-
-    def __init__(self, steps: Tuple[_TransferStep, ...], index: int) -> None:
-        self.steps = steps
-        self.index = index
-
-
 class _Run:
     """A maximal run of segment and TRANSFER steps between DISPATCH rows,
     with its report accounting folded into plan constants.
@@ -495,19 +293,21 @@ class _Run:
     order (``tag_groups``, tags in first-seen order so they enter the
     report dicts in serial key order), the left-fold of every row's
     energy (``energies``), and integer totals.  ``items`` are the run's
-    segments and transfer runs in stream order; ``dispatch`` is the row
+    segments and transfer runs (tuples of :class:`_TransferStep`) in
+    stream order, over rows ``lo`` to ``lo + n``; ``dispatch`` is the row
     of the DISPATCH step that ends the run (None for the last run).
     """
 
     __slots__ = (
-        "items", "n", "tag_groups", "energies", "op_counts", "transfers",
-        "hops", "flits", "n_bytes", "dispatch",
+        "items", "lo", "n", "tag_groups", "energies", "op_counts",
+        "transfers", "hops", "flits", "n_bytes", "dispatch",
     )
 
     def __init__(self, array: np.ndarray, lo: int, hi: int,
                  items: List[Tuple[int, Any]], tags: Sequence[str],
                  dispatch: Optional[int]) -> None:
         self.items = items
+        self.lo = lo
         self.n = hi - lo
         self.dispatch = dispatch
         durs = array["dur"][lo:hi]
@@ -533,8 +333,8 @@ class _Run:
         transfers = hops = flits = n_bytes = 0
         for kind, payload in items:
             if kind == STEP_TRANSFER:
-                transfers += len(payload.steps)
-                for t in payload.steps:
+                transfers += len(payload)
+                for t in payload:
                     hops += t.hops
                     flits += t.flits
                     n_bytes += t.n_bytes
@@ -544,84 +344,309 @@ class _Run:
         self.n_bytes = n_bytes
 
 
-def _transfer_copies(steps: Sequence[_TransferStep], chip: "PimChip",
-                     cells: np.ndarray, flat: Dict[int, np.ndarray],
-                     blocks: Set[int],
-                     ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """The copies ``dst[d] = src[s]`` that move a transfer run's rows.
+def _word_cols(start: int, words: int, row_words: int) -> range:
+    """The word columns ``[start, start + words)`` as numpy slices them."""
+    return range(*slice(start, start + words).indices(row_words))
 
-    Each TRANSFER's source and destination cells are resolved to flat
-    indices of its tiles' arrays (``flat``: tile id -> the tile array
-    raveled) by indexing ``cells`` — one block's flat cell numbers — with
-    the serial handler's own selectors, so slicing, broadcasting and
-    bounds errors are numpy's, as in ``ChipExecutor._transfer``.  Both
-    blocks are materialized (bounds-checked) as serial dispatch does;
-    ``blocks`` holds the ones already done.
 
-    Consecutive transfers within one tile merge into one fancy-indexed
-    copy while the group stays hazard-free: no source cell was written
-    by an earlier transfer of the group (RAW) and no destination cell
-    twice (WAW).  A merged copy reads every source before it writes any
-    destination, so without a RAW pair each transfer reads what it reads
-    in serial order, without a WAW pair no write is reordered against
-    another, and a write-after-read pair needs no split.  A transfer
-    across tiles is a copy of its own.
+def _index_selector(idx: np.ndarray, key: int) -> Tuple[Hashable, Any, int]:
+    """``(key, selector, count)`` of a valid 1-D row index array: a slice
+    keyed ``(start, stop, step)`` when the rows are evenly spaced and
+    increasing, else a read-only copy keyed by the integer ``key``."""
+    n = idx.size
+    if n:
+        start = int(idx[0])
+        step = int(idx[1]) - start if n > 1 else 1
+        if step > 0 and (n < 3 or bool((np.diff(idx) == step).all())):
+            stop = start + step * (n - 1) + 1
+            return (start, stop, step), slice(start, stop, step), n
+    arr = idx.copy()
+    arr.flags.writeable = False
+    return key, arr, n
+
+
+class _ProgramBuilder:
+    """Compiles a plan's runs into functional programs on one chip.
+
+    A run's program is a list of entries (``APPLY_*``), each one numpy
+    call on a tile array (:attr:`repro.pim.tile.Tile.data`): the chip
+    issues one instruction to every block of a tile at once (§4–§5), and
+    the program does so across the run's TRANSFERs too.
+
+    *Order.*  A run's ops are taken in emission order: the rows of a plan
+    that :func:`repro.pim.schedule.schedule_plan` kept are re-sorted by
+    its ``schedule_stats["permutation"]``.  Emission order restricted to
+    a run is a topological order of the dependency DAG, and so is the
+    scheduler's order, so both leave every cell with the same value.  A
+    plan without a kept permutation is taken in its own order.
+
+    *Queues.*  Every op joins the queue of the block it writes: a compute
+    op its own block's, a TRANSFER its destination's.  A TRANSFER also
+    joins its source's queue when some op of the run writes one of its
+    source ``(block, column)`` cells (rows are ignored, so the rule is
+    conservative); otherwise it reads cells that hold the same values all
+    through the run.  So every write, and every read of a cell the run
+    writes, keeps its emission order within its block's queue.
+
+    *Rounds.*  The queues merge in lockstep rounds: a round takes the head
+    of every queue, a two-queue op only when it heads both.  The ops of a
+    round touch disjoint blocks, apart from reads of cells the run never
+    writes, so they commute.  Its compute ops with the same signature
+    (tile, opcode, rows, columns, row map) become one numpy call indexed
+    by their blocks; its TRANSFERs between the same two tiles become one
+    fancy-indexed copy of flat cell indices, with at most one destination
+    block per TRANSFER, so the copy holds no RAW or WAW pair.  The op
+    earliest in emission order heads all its queues, so the merge never
+    stalls.  Each call computes the same float32 elementwise operation
+    as the serial :class:`~repro.pim.block.MemoryBlock` method on each of
+    its blocks, so block state stays bit-identical to serial dispatch.
+
+    *Validation.*  Every op is checked while its program is built, before
+    any op of the plan executes: compute ops with the ``MemoryBlock``
+    bounds checks, TRANSFERs by indexing a table of one block's cell
+    numbers with the serial handler's own selectors, so slicing,
+    broadcasting and bounds errors are numpy's, as in
+    ``ChipExecutor._transfer``.  Index arrays (row selectors, row maps and
+    block sets, which recur every RK stage) are interned: a program holds
+    one copy of each, evenly spaced ones become slices, and a row index
+    array is bounds-checked once.
     """
-    cfg = chip.config
-    per_block = cfg.block_rows * cfg.row_words
-    bpt = cfg.blocks_per_tile
-    out: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-    tile = -1  # the open group's tile
-    srcs: List[np.ndarray] = []
-    dsts: List[np.ndarray] = []
-    written: Set[int] = set()  # the open group's destination cells
 
-    def tile_cells(tid: int) -> np.ndarray:
-        arr = flat.get(tid)
-        if arr is None:
-            arr = flat[tid] = chip.tile(tid).data.reshape(-1)
-        return arr
+    def __init__(self, chip: "PimChip") -> None:
+        self.chip = chip
+        cfg = chip.config
+        self.bpt = cfg.blocks_per_tile
+        self.row_words = cfg.row_words
+        self.per_block = cfg.block_rows * cfg.row_words
+        self.cells = np.arange(self.per_block, dtype=np.intp).reshape(
+            cfg.block_rows, cfg.row_words)
+        self.blocks: Dict[int, "MemoryBlock"] = {}
+        #: tile id -> its array raveled (TRANSFER copies index it)
+        self.flat: Dict[int, np.ndarray] = {}
+        #: row selectors by value (range tuples, index-array bytes), and
+        #: by the identity of the instruction's array, which the plan
+        #: keeps alive while the build runs
+        self.rows: Dict[Hashable, Tuple[Hashable, Any, int]] = {}
+        self.rows_by_id: Dict[int, Tuple[Any, Tuple[Hashable, Any, int]]] = {}
+        self.block_sets: Dict[Tuple[int, ...], Tuple[Any, Any]] = {}
 
-    def close() -> None:
-        if dsts:
-            arr = tile_cells(tile)
-            out.append((arr, np.concatenate(dsts), arr, np.concatenate(srcs)))
-            srcs.clear()
-            dsts.clear()
-            written.clear()
+    def build(self, plan: "ExecutionPlan") -> List[List[Tuple[Any, ...]]]:
+        """One program per run of ``plan``."""
+        stats = plan.schedule_stats
+        perm = stats["permutation"] if stats and stats["kept"] else None
+        op_ids = plan.array["op"].tolist()
+        xfer_at = dict(zip(  # row -> its step
+            (r for r, op in enumerate(op_ids) if op == _TRANSFER_ID),
+            (p for k, p in plan.steps if k == STEP_TRANSFER)))
+        programs = []
+        for run in plan.runs:
+            rows: Sequence[int] = range(run.lo, run.lo + run.n)
+            if perm is not None:
+                rows = sorted(rows, key=perm.__getitem__)
+            programs.append(self.program(plan.instructions, op_ids, rows,
+                                         xfer_at))
+        return programs
 
-    for t in steps:
+    def program(self, insts: Sequence[Instruction], op_ids: List[int],
+                rows: Sequence[int], xfer_at: Dict[int, _TransferStep],
+                ) -> List[Tuple[Any, ...]]:
+        """The program of one run, whose ops are ``insts[r]`` for ``r`` in
+        ``rows`` (emission order).
+
+        An op's lockstep round is one past the latest round of the ops
+        before it in its queues: the round in which it heads them all.
+        """
+        rw = self.row_words
+        sig_ids: Dict[Tuple[Any, ...], int] = {}
+        sig_of: List[int] = []
+        payloads: List[Tuple[Any, ...]] = []
+        home: List[int] = []  # the block each op writes: its queue
+        reads: Dict[int, Tuple[int, range]] = {}  # TRANSFER -> its source
+        written: Set[Tuple[int, int]] = set()
+        for r in rows:
+            t = xfer_at.get(r)
+            if t is None:
+                inst = insts[r]
+                sig, pay = self.compute(inst, op_ids[r])
+                home.append(inst.block)
+                written.add((inst.block, inst.dst))
+            else:
+                sig, pay = self.transfer(t)
+                if t.src != t.dst:
+                    reads[len(home)] = (t.src, _word_cols(t.src1, t.words, rw))
+                home.append(t.dst)
+                written.update((t.dst, c)
+                               for c in _word_cols(t.dst_col, t.words, rw))
+            sig_of.append(sig_ids.setdefault(sig, len(sig_ids)))
+            payloads.append(pay)
+        second = {op: src for op, (src, cols) in reads.items()
+                  if any((src, c) in written for c in cols)}
+
+        last: Dict[int, int] = {}  # queue -> round of its latest op
+        rounds: List[Dict[int, List[Tuple[Any, ...]]]] = []
+        for op, b in enumerate(home):
+            rnd = last.get(b, -1) + 1
+            src = second.get(op)
+            if src is not None:
+                rnd = max(rnd, last.get(src, -1) + 1)
+                last[src] = rnd
+            last[b] = rnd
+            if rnd == len(rounds):
+                rounds.append({})
+            rounds[rnd].setdefault(sig_of[op], []).append(payloads[op])
+        sigs = list(sig_ids)
+        return [self.entry(sigs[sid], pays)
+                for rnd in rounds for sid, pays in rnd.items()]
+
+    def compute(self, inst: Instruction,
+                code: int) -> Tuple[Tuple[Any, ...], Tuple[Any, ...]]:
+        """Validate a compute op (opcode id ``code``); return its signature
+        and its payload ``(tile-local block id, row selector, row map or
+        value)``."""
+        blk = self.blocks.get(inst.block)
+        if blk is None:
+            blk = self.blocks[inst.block] = self.chip.block(inst.block)
+        rkey, rsel, n_sel = self.row_selector(inst.rows, blk)
+        src = inst.src1
+        other: Any = None
+        extra: Any = None
+        if code == _GATHER_ID:
+            blk._cols(inst.dst, src)
+            row_map = inst.row_map
+            if not isinstance(row_map, np.ndarray):
+                row_map = np.asarray(row_map, dtype=np.int64)
+            other, extra, n = self.row_selector(row_map, blk)
+            if n != n_sel:
+                raise ValueError(f"row_map must have {n_sel} entries, got {n}")
+        elif code == _BROADCAST_ID:
+            blk._cols(inst.dst)
+            extra = np.asarray(inst.value, dtype=np.float32)
+            if extra.ndim not in (0, 1):
+                raise ValueError("broadcast value must be scalar or 1-D")
+            if extra.ndim == 1 and extra.shape != (n_sel,):
+                raise ValueError(f"broadcast vector must have {n_sel} entries")
+            src = None
+            other = extra.ndim
+        elif code == _COPY_ID:
+            blk._cols(inst.dst, src)
+        else:
+            blk._cols(inst.dst, src, inst.src2)
+            other = inst.src2
+        tile, local = divmod(blk.block_id, self.bpt)
+        return (tile, code, rkey, inst.dst, src, other), (local, rsel, extra)
+
+    def transfer(self, t: _TransferStep) -> Tuple[Tuple[Any, ...], Tuple[Any, ...]]:
+        """Validate a TRANSFER; return its signature and its flat
+        destination and source cells."""
         for b in (t.src, t.dst):
-            if b not in blocks:
-                chip.block(b)
-                blocks.add(b)
+            if b not in self.blocks:
+                self.blocks[b] = self.chip.block(b)
         src1, dst_col = t.src1, t.dst_col
         if src1 is None or dst_col is None:
             raise TypeError("TRANSFER needs src1 and dst word columns")
-        s_idx = cells[t.s_sel, src1:src1 + t.words]
+        s_idx = self.cells[t.s_sel, src1:src1 + t.words]
         if s_idx.shape[0] != t.n_rows:
             raise ValueError("TRANSFER src/dst row selections must match in size")
-        d_idx = cells[t.d_sel, dst_col:dst_col + t.words]
+        d_idx = self.cells[t.d_sel, dst_col:dst_col + t.words]
         if s_idx.shape != d_idx.shape:
             s_idx = np.broadcast_to(s_idx, d_idx.shape)
-        s_tile, s_loc = divmod(t.src, bpt)
-        d_tile, d_loc = divmod(t.dst, bpt)
-        s_flat = (s_idx + s_loc * per_block).ravel()
-        d_flat = (d_idx + d_loc * per_block).ravel()
-        if s_tile != d_tile:
-            close()
-            out.append((tile_cells(d_tile), d_flat, tile_cells(s_tile), s_flat))
-            continue
-        d_cells = d_flat.tolist()
-        if s_tile != tile or not (written.isdisjoint(s_flat.tolist())
-                                  and written.isdisjoint(d_cells)):
-            close()
-            tile = s_tile
-        srcs.append(s_flat)
-        dsts.append(d_flat)
-        written.update(d_cells)
-    close()
-    return out
+        s_tile, s_loc = divmod(t.src, self.bpt)
+        d_tile, d_loc = divmod(t.dst, self.bpt)
+        for tile in (s_tile, d_tile):
+            if tile not in self.flat:
+                self.flat[tile] = self.chip.tile(tile).data.reshape(-1)
+        return ((d_tile, _TRANSFER_ID, s_tile),
+                ((d_idx + d_loc * self.per_block).ravel(),
+                 (s_idx + s_loc * self.per_block).ravel()))
+
+    def row_selector(self, rows: Any, blk: "MemoryBlock") -> Tuple[Hashable, Any, int]:
+        """Validate a row selector or GATHER row map; return its signature
+        key, numpy selector and row count (see :func:`_index_selector`).
+
+        A selector is checked by ``MemoryBlock._rows`` the first time it is
+        seen: every block of a chip has the same rows.
+        """
+        if isinstance(rows, tuple):
+            hit = self.rows.get(rows)
+            if hit is None:
+                sel, n = blk._rows(rows)
+                hit = self.rows[rows] = ((sel.start, sel.stop, 1), sel, n)
+            return hit
+        by_id = self.rows_by_id.get(id(rows))
+        if by_id is not None and by_id[0] is rows:
+            return by_id[1]
+        idx = np.asarray(rows, dtype=np.int64)
+        hit = self.rows.get(idx.tobytes()) if idx.ndim == 1 else None
+        if hit is None:
+            blk._rows(idx)
+            hit = self.rows[idx.tobytes()] = _index_selector(idx, len(self.rows))
+        self.rows_by_id[id(rows)] = (rows, hit)
+        return hit
+
+    def entry(self, sig: Tuple[Any, ...],
+              pays: List[Tuple[Any, ...]]) -> Tuple[Any, ...]:
+        """One program entry running ``pays`` (one op per block, all with
+        signature ``sig``) as a single numpy call.
+
+        A compute entry indexes a ``(blocks, rows)`` plane of one word
+        column of its tile array (a ``rows`` vector for one block), the
+        same shape on both sides of the assignment.
+        """
+        tile, code = sig[0], sig[1]
+        if code == _TRANSFER_ID:
+            if len(pays) == 1:
+                d, s = pays[0]
+            else:
+                d = np.concatenate([p[0] for p in pays])
+                s = np.concatenate([p[1] for p in pays])
+            return (APPLY_MOVE, self.flat[tile], d, self.flat[sig[2]], s)
+        _, _, _, dst_col, src_col, other = sig
+        arr = self.chip.tile(tile).data
+        if len(pays) > 1:
+            pays.sort(key=itemgetter(0))  # block order
+        bsel, bcol = self.block_set(tuple(p[0] for p in pays))
+        rsel = pays[0][1]
+
+        def at(r: Any, col: int) -> Tuple[Any, ...]:
+            # an index-array block set broadcasts against an index-array
+            # row selector in its ``(k, 1)`` column form
+            return (bsel if bcol is None or isinstance(r, slice) else bcol,
+                    r, col)
+
+        dst = at(rsel, dst_col)
+        if code == _BROADCAST_ID:
+            if len(pays) == 1:
+                value = pays[0][2]
+            elif other == 0:
+                value = np.array([p[2] for p in pays], dtype=np.float32)[:, None]
+            else:
+                value = np.stack([p[2] for p in pays])
+            return (APPLY_FILL, arr, dst, value)
+        if code == _GATHER_ID:
+            return (APPLY_MOVE, arr, dst, arr, at(pays[0][2], src_col))
+        if code == _COPY_ID:
+            return (APPLY_MOVE, arr, dst, arr, at(rsel, src_col))
+        return (APPLY_UFUNC, arr, dst, _APPLY_UFUNCS[code], at(rsel, src_col),
+                at(rsel, other))
+
+    def block_set(self, local_ids: Tuple[int, ...]) -> Tuple[Any, Any]:
+        """Tile-array selectors of an increasing block set: an integer for
+        one block, a slice for evenly spaced blocks, else the interned
+        ``(k,)`` index array and its ``(k, 1)`` column form."""
+        hit = self.block_sets.get(local_ids)
+        if hit is None:
+            first = local_ids[0]
+            step = local_ids[1] - first if len(local_ids) > 1 else 1
+            if len(local_ids) == 1:
+                hit = (first, None)
+            elif local_ids == tuple(range(first, local_ids[-1] + 1, step)):
+                hit = (slice(first, local_ids[-1] + 1, step), None)
+            else:
+                flat = np.array(local_ids, dtype=np.intp)
+                flat.flags.writeable = False
+                hit = (flat, flat[:, None])
+            self.block_sets[local_ids] = hit
+        return hit
 
 
 class ExecutionPlan:
@@ -637,8 +662,8 @@ class ExecutionPlan:
 
     __slots__ = (
         "instructions", "array", "tags", "steps", "runs", "routing_epoch",
-        "chip_name", "replays", "schedule_stats", "apply_chip", "interned",
-        "transfer_apply",
+        "chip_name", "replays", "schedule_stats", "apply_chip", "programs",
+        "relowered",
     )
 
     def __init__(self, instructions: List[Instruction], array: np.ndarray,
@@ -659,42 +684,25 @@ class ExecutionPlan:
         #: makespan bookkeeping attached by :func:`repro.pim.schedule.
         #: schedule_plan` (None for emission-order plans).
         self.schedule_stats: Optional[Dict[str, Any]] = None
-        #: the chip whose tile arrays the segments' lockstep programs and
-        #: the transfer copies index, and the index arrays the programs
-        #: share (see :meth:`_VecSegment.build_apply`).
+        #: the chip whose tile arrays the run programs index, and one
+        #: functional program per run (:meth:`build_programs`).
         self.apply_chip: Optional["PimChip"] = None
-        self.interned: Dict[Hashable, Any] = {}
-        #: per transfer run (``_TransferRun.index``), its copies on
-        #: ``apply_chip`` (:meth:`build_transfer_apply`).
-        self.transfer_apply: Optional[List[List[Tuple[Any, ...]]]] = None
+        self.programs: Optional[List[List[Tuple[Any, ...]]]] = None
+        #: ``(chip, plan)``: this plan lowered again on ``chip`` after its
+        #: routes went stale there; replays reuse it while the chip's
+        #: routing epoch holds.
+        self.relowered: Optional[Tuple["PimChip", "ExecutionPlan"]] = None
 
-    def reset_apply(self, chip: "PimChip") -> None:
-        """Drop every lockstep program and transfer copy; the next
-        functional replay builds them for ``chip``."""
-        for kind, payload in self.steps:
-            if kind == STEP_SEGMENT:
-                payload.apply = None
+    def build_programs(self, chip: "PimChip") -> List[List[Tuple[Any, ...]]]:
+        """Build every run's functional program on ``chip`` (see
+        :class:`_ProgramBuilder`) and keep them for later replays.  Every
+        op of the plan is validated first, so a bad one raises before any
+        block changes, and a failed build keeps nothing."""
+        self.apply_chip = self.programs = None
+        programs = _ProgramBuilder(chip).build(self)
         self.apply_chip = chip
-        self.interned = {}
-        self.transfer_apply = None
-
-    def build_transfer_apply(self) -> List[List[Tuple[Any, ...]]]:
-        """Resolve every transfer run's copies on :attr:`apply_chip`
-        (see :func:`_transfer_copies`).  Nothing is kept unless every
-        TRANSFER resolves, so a bad one raises before any block changes."""
-        chip = self.apply_chip
-        assert chip is not None
-        cfg = chip.config
-        cells = np.arange(cfg.block_rows * cfg.row_words,
-                          dtype=np.intp).reshape(cfg.block_rows, cfg.row_words)
-        flat: Dict[int, np.ndarray] = {}
-        blocks: Set[int] = set()
-        self.transfer_apply = [
-            _transfer_copies(payload.steps, chip, cells, flat, blocks)
-            for run in self.runs for kind, payload in run.items
-            if kind == STEP_TRANSFER
-        ]
-        return self.transfer_apply
+        self.programs = programs
+        return programs
 
     @property
     def n_instructions(self) -> int:
@@ -900,20 +908,18 @@ def _assemble(
     run_start = 0  # first row of the open run
     seg_start = -1  # start index of the open vec segment, -1 when closed
     xrun: List[_TransferStep] = []  # the open transfer run
-    n_xruns = 0
     xfers = iter(transfers)
 
     def flush(end: int) -> None:
         """Close the open segment or transfer run (at most one is open)."""
-        nonlocal seg_start, n_xruns
+        nonlocal seg_start
         if seg_start >= 0:
             seg = _VecSegment(array, range(seg_start, end), insts)
             steps.append((STEP_SEGMENT, seg))
             items.append((STEP_SEGMENT, seg))
             seg_start = -1
         elif xrun:
-            items.append((STEP_TRANSFER, _TransferRun(tuple(xrun), n_xruns)))
-            n_xruns += 1
+            items.append((STEP_TRANSFER, tuple(xrun)))
             xrun.clear()
 
     for i, op_id in enumerate(array["op"].tolist()):

@@ -123,6 +123,39 @@ class TestTimeStepEquivalence:
         assert e_pim == pytest.approx(op.energy(ref), rel=1e-4)
 
 
+@pytest.mark.parametrize("flux", ["central", "riemann"])
+def test_scheduled_step_tracks_float64_for_100_steps(flux):
+    """Long-run ground truth: 100 scheduled one-block PIM steps (float32)
+    against the float64 LSRK45 dG solution.  The error stays at float32
+    rounding, the energies agree, the upwind flux never gains energy and
+    the central flux keeps it."""
+    from repro.pim.schedule import schedule_plan
+
+    mesh, elem, mat, chip, kern, op, state = _setup(flux, 1)
+    dt = cfl_timestep(mesh.h, mat.max_speed, ORDER, cfl=0.3)
+    ex = _boot(chip, kern, state)
+    plan = schedule_plan(ex, ex.lower(kern.time_step(dt)))
+    assert plan.schedule_stats["kept"]
+    ref = state.copy()
+    stepper = LSRK45(lambda s: op.rhs(s))
+    aux = np.zeros_like(ref)
+    e0 = e_prev = op.energy(state)
+    for step in range(1, 101):
+        ex.run(plan, functional=True)
+        stepper.step(ref, 0.0, dt, aux)
+        got = kern.read_state(chip).astype(np.float64)
+        e_pim = op.energy(got)
+        if flux == "riemann":
+            assert e_pim <= e_prev, f"energy grew at step {step}"
+        e_prev = e_pim
+        if step in (10, 50, 100):
+            rel_err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+            assert rel_err <= 1e-5, f"rel_err {rel_err:.3g} at step {step}"
+            assert abs(e_pim / op.energy(ref) - 1.0) <= 1e-5
+    if flux == "central":
+        assert abs(e_pim / e0 - 1.0) <= 1e-4
+
+
 class TestExpansionBehaviour:
     def test_four_block_faster_than_one_block_per_stage(self):
         """§6.2.1: the expanded implementation beats the naive one."""

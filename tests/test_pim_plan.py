@@ -307,6 +307,48 @@ class TestStaleRoutes:
                 sched.schedule_stats["emission_makespan_s"]
                 * ex.chip.config.clock_hz)
 
+    def test_stale_plan_relowers_once_per_chip_and_epoch(self, monkeypatch):
+        """After a routing-epoch bump, three functional replays of a
+        scheduled acoustic r=1 step lower it once and build its programs
+        once; the re-lowered plan keeps the schedule stats, so every
+        report still carries the emission-order makespan."""
+        from repro.core.kernels.acoustic import AcousticOneBlockKernels
+        from repro.core.mapper import ElementMapper
+        from repro.dg import AcousticMaterial, HexMesh, ReferenceElement
+        from repro.obs import get_metrics
+        from repro.pim.schedule import schedule_plan
+
+        m = get_metrics()
+        mesh = HexMesh.from_refinement_level(1)
+        elem = ReferenceElement(2)
+        chip = PimChip(CHIP_CONFIGS["512MB"])
+        kern = AcousticOneBlockKernels(
+            mesh, elem, AcousticMaterial.homogeneous(mesh.n_elements),
+            ElementMapper(mesh.m, chip.config, 1), flux_kind="riemann")
+        ex = ChipExecutor(chip)
+        ex.run(kern.setup() + kern.load_state(
+            np.ones((4, mesh.n_elements, elem.n_nodes), np.float32)),
+            functional=True)
+        plan = schedule_plan(ex, ex.lower(kern.time_step(1e-4)))
+        assert plan.schedule_stats["kept"]
+        emission = (plan.schedule_stats["emission_makespan_s"]
+                    * chip.config.clock_hz)
+        chip.invalidate_routes()
+        built = []
+        real = ExecutionPlan.build_programs
+        monkeypatch.setattr(ExecutionPlan, "build_programs",
+                            lambda p, c: built.append(p) or real(p, c))
+        lowered0 = m.value("executor.plan.lowered")
+        relowered0 = m.value("executor.plan.relowered")
+        for _ in range(3):
+            rep = ex.run(plan, functional=True)
+            assert rep.emission_makespan_cycles == emission > 0.0
+        assert m.value("executor.plan.lowered") == lowered0 + 1
+        assert m.value("executor.plan.relowered") == relowered0 + 1
+        fresh = plan.relowered[1]
+        assert built == [fresh] and fresh.replays == 3
+        assert fresh.schedule_stats is plan.schedule_stats
+
     def test_plan_records_lowering_epoch(self, acoustic_program):
         ex = ChipExecutor(PimChip(CHIP_CONFIGS["2GB"]))
         ex.chip.invalidate_routes()
@@ -723,12 +765,30 @@ def _xfer(src, dst, rows, src_rows, dst_col=0, src1=0, words=1,
                        words=words, tag=tag)
 
 
+def _reader_of(draw, inst, blocks):
+    """A TRANSFER that reads the cells ``inst`` writes (its rows and
+    destination columns) into another of ``blocks``."""
+    from repro.pim.isa import Instruction
+
+    n = _n_rows(inst.rows)
+    words = inst.words if inst.op is Opcode.TRANSFER else 1
+    dst = draw(st.sampled_from([b for b in blocks if b != inst.block]))
+    rows = draw(st.one_of(
+        st.integers(0, LS_ROWS - n).map(lambda r0: (r0, r0 + n)),
+        st.permutations(range(LS_ROWS)).map(lambda p: np.array(p[:n]))))
+    return Instruction(Opcode.TRANSFER, block=dst, src_block=inst.block,
+                       rows=rows, src_rows=inst.rows,
+                       dst=draw(st.integers(0, LS_COLS - words)),
+                       src1=inst.dst, words=words, tag="flux")
+
+
 @st.composite
 def _lockstep_streams(draw):
     """``(blocks, stream, seed)``: one or two compute segments whose blocks
     run windows of one shared template, so many ops line up across blocks,
     with per-block divergences, unequal lengths and out-of-step starts,
-    interleaved in a random order, with TRANSFERs between the blocks."""
+    interleaved in a random order, with TRANSFERs between the blocks —
+    some of them reading cells an earlier op wrote."""
     from repro.pim.isa import barrier
 
     cfg = _lockstep_chip().config
@@ -775,6 +835,15 @@ def _lockstep_streams(draw):
             min_size=2, max_size=5), max_size=2)):
         at = draw(st.integers(0, len(stream)))
         stream[at:at] = run
+    # TRANSFERs that read what an earlier op wrote: they join their
+    # source block's queue as well as their destination's
+    for _ in range(draw(st.integers(0, 4))):
+        writers = [k for k, i in enumerate(stream) if _n_rows(i.rows)]
+        if not writers:
+            break
+        writer = draw(st.sampled_from(writers))
+        stream.insert(draw(st.integers(writer + 1, len(stream))),
+                      _reader_of(draw, stream[writer], blocks))
     split = draw(st.integers(0, len(stream)))
     if split and draw(st.booleans()):  # a BARRIER ends the first segment
         stream.insert(split, barrier())
@@ -794,17 +863,25 @@ def _ls_digests(chip, blocks):
 
 
 def _ls_check(blocks, stream, seed):
-    """Plan replay (twice: build, then the cached program) == serial."""
-    chip_s, chip_p = _lockstep_chip(), _lockstep_chip()
-    for chip in (chip_s, chip_p):
+    """Plan replay (twice: build, then the kept programs) == serial, and
+    the replay of the plan's ``schedule_plan`` twin (whose programs are
+    regrouped in emission order when the schedule is kept) leaves the
+    same block state."""
+    from repro.pim.schedule import schedule_plan
+
+    chip_s, chip_p, chip_t = _lockstep_chip(), _lockstep_chip(), _lockstep_chip()
+    for chip in (chip_s, chip_p, chip_t):
         _ls_load(chip, blocks, seed)
-    ex_s, ex_p = ChipExecutor(chip_s), ChipExecutor(chip_p)
+    ex_s, ex_p, ex_t = ChipExecutor(chip_s), ChipExecutor(chip_p), ChipExecutor(chip_t)
     plan = ex_p.lower(stream)
+    twin = schedule_plan(ex_t, ex_t.lower(stream))
     for rep in range(2):
         serial = ex_s.run(stream, functional=True, serial=True)
         replay = ex_p.run(plan, functional=True)
         _assert_reports_identical(serial, replay, f"lockstep replay {rep}")
+        ex_t.run(twin, functional=True)
         assert _ls_digests(chip_p, blocks) == _ls_digests(chip_s, blocks)
+        assert _ls_digests(chip_t, blocks) == _ls_digests(chip_s, blocks)
 
 
 class TestLockstepDifferential:
@@ -835,9 +912,8 @@ class TestLockstepDifferential:
         _ls_check(blocks, stream, seed=1)
 
     def test_plan_replayed_on_another_chip_writes_that_chip(self):
-        """Lockstep programs and transfer copies index one chip's tile
-        arrays; replaying the plan through another chip's executor
-        rebuilds them for it."""
+        """Run programs index one chip's tile arrays; replaying the plan
+        through another chip's executor rebuilds them for it."""
         from repro.pim.isa import Instruction
 
         blocks = [0, 1, 5]
@@ -905,21 +981,53 @@ def _two_tile_chip():
                               block_rows=16, blocks_per_tile=4))
 
 
+def _is_copy(entry):
+    """A TRANSFER copy indexes raveled (1-D) tile arrays; a compute call
+    indexes a tile array."""
+    return entry[1].ndim == 1
+
+
 def _copies_per_run(plan):
-    """Number of copies each transfer run of ``plan`` moves in."""
-    return [len(copies) for copies in plan.transfer_apply]
+    """Number of TRANSFER copies in each run program of ``plan``."""
+    return [sum(1 for e in prog if _is_copy(e)) for prog in plan.programs]
+
+
+def _program_sizes(plan):
+    """``(compute calls, TRANSFER copies)`` over ``plan``'s run programs."""
+    entries = [e for prog in plan.programs for e in prog]
+    copies = sum(1 for e in entries if _is_copy(e))
+    return len(entries) - copies, copies
+
+
+def _serial_equal_program(chip_factory, blocks, stream, seed=6):
+    """Replay ``stream``'s plan twice on one chip and serially on another:
+    reports and block digests match.  Returns the plan."""
+    chip_s, chip_p = chip_factory(), chip_factory()
+    for chip in (chip_s, chip_p):
+        _ls_load(chip, blocks, seed)
+    ex_s, ex_p = ChipExecutor(chip_s), ChipExecutor(chip_p)
+    plan = ex_p.lower(stream)
+    for rep in range(2):
+        serial = ex_s.run(stream, functional=True, serial=True)
+        replay = ex_p.run(plan, functional=True)
+        _assert_reports_identical(serial, replay, f"run program {rep}")
+        assert _ls_digests(chip_p, blocks) == _ls_digests(chip_s, blocks)
+    return plan
 
 
 class TestTransferRuns:
-    """A run of consecutive TRANSFERs moves in one fancy-indexed copy per
-    hazard-free group on one tile array; the split rule keeps every read
-    and write in serial order (DESIGN.md §12)."""
+    """TRANSFERs run in lockstep rounds with the compute ops of their run:
+    a round's TRANSFERs between two tiles move in one fancy-indexed copy,
+    and the queue rule keeps every read and write in serial order
+    (DESIGN.md §12)."""
 
-    #: ``(stream, copies)``: each stream is one transfer run between two
-    #: compute ops, ``copies`` the copies it must take.  Blocks A, B, C
-    #: are 0, 1, 2 on tile 0; block 5 is on tile 1.
+    #: ``(stream, copies)``: each stream is one run of TRANSFERs between
+    #: compute ops on every block (an ADD writing column 0 before, a MUL
+    #: after), ``copies`` the copies its program takes.  Blocks A, B, C,
+    #: D are 0-3 on tile 0; block 5 is on tile 1.
     CASES = {
-        # B's column 1 rows 0-4 are written, then read on to C
+        # B's column 1 rows 0-4 are written, then read on to C: the
+        # second TRANSFER waits in B's queue for the first
         "raw_chain": ([
             _xfer(0, 1, (0, 4), (0, 4), dst_col=1, src1=0),
             _xfer(1, 2, (4, 8), (0, 4), dst_col=2, src1=1),
@@ -929,19 +1037,23 @@ class TestTransferRuns:
             _xfer(0, 1, (0, 4), (0, 4), dst_col=1, src1=0),
             _xfer(2, 1, (2, 6), (4, 8), dst_col=1, src1=0),
         ], 2),
-        # B's column 1 is read, then overwritten: one copy reads first
+        # B's column 1 is read, then overwritten: the read joins B's
+        # queue, so the write lands a round later
         "war": ([
             _xfer(1, 2, (0, 4), (0, 4), dst_col=3, src1=1),
             _xfer(0, 1, (0, 4), (4, 8), dst_col=1, src1=0),
-        ], 1),
-        # tile 0 -> tile 1 -> tile 0, reading what the last one wrote
+        ], 2),
+        # tile 0 -> tile 1 -> tile 0, reading what the last one wrote;
+        # the third reads cells nothing writes and moves in round one,
+        # beside the first but in another tile pair's copy
         "cross_tile": ([
             _xfer(0, 5, (0, 4), (0, 4), dst_col=2, src1=0),
             _xfer(5, 1, (8, 12), (0, 4), dst_col=2, src1=2),
             _xfer(1, 2, (0, 4), (0, 4), dst_col=0, src1=1),
         ], 3),
-        # index arrays and ranges: the first three touch disjoint cells
-        # and share a copy; the last reads rows the first two wrote
+        # index arrays and ranges: the first and third share round one
+        # and a copy, the second writes B again a round later, and the
+        # last reads what those two wrote
         "mixed_selectors": ([
             _xfer(0, 1, np.array([9, 3, 5]), (0, 3), dst_col=2, src1=0,
                   words=2),
@@ -950,7 +1062,7 @@ class TestTransferRuns:
             _xfer(3, 2, np.array([0, 15]), np.array([6, 2]), dst_col=0,
                   src1=3),
             _xfer(1, 3, (0, 2), np.array([11, 5]), dst_col=1, src1=3),
-        ], 2),
+        ], 3),
     }
 
     @staticmethod
@@ -965,17 +1077,7 @@ class TestTransferRuns:
             + stream
             + [Instruction(Opcode.MUL, block=b, rows=(0, 16), dst=4, src1=0,
                            src2=2, tag="volume") for b in blocks])
-        chip_s, chip_p = _two_tile_chip(), _two_tile_chip()
-        for chip in (chip_s, chip_p):
-            _ls_load(chip, blocks, seed=11)
-        ex_s, ex_p = ChipExecutor(chip_s), ChipExecutor(chip_p)
-        plan = ex_p.lower(stream)
-        for rep in range(2):
-            serial = ex_s.run(stream, functional=True, serial=True)
-            replay = ex_p.run(plan, functional=True)
-            _assert_reports_identical(serial, replay, f"transfer run {rep}")
-            assert _ls_digests(chip_p, blocks) == _ls_digests(chip_s, blocks)
-        return plan
+        return _serial_equal_program(_two_tile_chip, blocks, stream, seed=11)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_serial(self, case):
@@ -1004,14 +1106,14 @@ class TestTransferRuns:
         for _ in range(2):  # nothing is kept from the failed build
             with pytest.raises(ValueError, match="must match in size"):
                 ex.run(plan, functional=True)
-            assert plan.transfer_apply is None
+            assert plan.programs is None and plan.apply_chip is None
             assert _ls_digests(chip, [0, 1, 2]) == before
 
     def test_emission_and_scheduled_twin_on_two_chips(self):
         """``schedule_plan`` shares ``_TransferStep`` objects between the
         emission plan and its scheduled twin; each plan keeps its own
-        per-chip copies, so replaying the two in turn on two chips writes
-        each chip as its own serial run does."""
+        per-chip programs, so replaying the two in turn on two chips
+        writes each chip as its own serial run does."""
         from repro.pim.isa import Instruction
         from repro.pim.schedule import schedule_plan
 
@@ -1043,8 +1145,9 @@ class TestTransferRuns:
             assert _ls_digests(chips[1], blocks) == _ls_digests(chips[3], blocks)
 
     def test_routing_epoch_bump_rebuilds_transfer_copies(self, monkeypatch):
-        """A stale plan is lowered again, and the new plan resolves its
-        own copies; the result still equals serial dispatch."""
+        """A stale plan is lowered again, and the new plan builds its own
+        programs, transfer copies included; the result still equals
+        serial dispatch."""
         stream = self.CASES["cross_tile"][0]
         blocks = [0, 1, 2, 5]
         chip_s, chip_p = _two_tile_chip(), _two_tile_chip()
@@ -1052,13 +1155,13 @@ class TestTransferRuns:
             _ls_load(chip, blocks, seed=2)
         ex_s, ex_p = ChipExecutor(chip_s), ChipExecutor(chip_p)
         built = []
-        real = ExecutionPlan.build_transfer_apply
+        real = ExecutionPlan.build_programs
 
-        def spy(plan):
+        def spy(plan, chip):
             built.append(plan)
-            return real(plan)
+            return real(plan, chip)
 
-        monkeypatch.setattr(ExecutionPlan, "build_transfer_apply", spy)
+        monkeypatch.setattr(ExecutionPlan, "build_programs", spy)
         plan = ex_p.lower(stream)
         ex_p.run(plan, functional=True)
         ex_s.run(stream, functional=True, serial=True)
@@ -1070,7 +1173,170 @@ class TestTransferRuns:
         assert _ls_digests(chip_p, blocks) == _ls_digests(chip_s, blocks)
         assert len(built) == 2 and built[1] is not plan
         assert built[1].routing_epoch == chip_p.routing_epoch
-        assert plan.transfer_apply is not built[1].transfer_apply
+        assert plan.programs is not built[1].programs
+
+
+def _ops(block, rows, *ops, tag="flux"):
+    """Compute ops ``(opcode, dst, src1, src2)`` on ``block``'s ``rows``."""
+    from repro.pim.isa import Instruction
+
+    return [Instruction(op, block=block, rows=rows, dst=d, src1=a, src2=b,
+                        tag=tag) for op, d, a, b in ops]
+
+
+def _flux_chip():
+    """One tile of sixteen 32-row blocks, like a shard's flux tile."""
+    from repro.pim.params import ChipConfig
+
+    return PimChip(ChipConfig(name="flux-test", capacity_bytes=16 * 4096,
+                              block_rows=32, blocks_per_tile=16))
+
+
+class TestRunPrograms:
+    """One functional program per run: the queue rule, lockstep rounds
+    across TRANSFERs, and the sizes of the bench plans' programs."""
+
+    def test_transfer_joins_the_queue_of_a_source_the_run_writes(self):
+        """Compute on A feeds a TRANSFER A->B, which feeds compute on B;
+        A is overwritten after the TRANSFER reads it.  The TRANSFER waits
+        in both queues: B's three ops first, then A's write-after-read."""
+        A, B = 0, 1
+        add, mul, sub = Opcode.ADD, Opcode.MUL, Opcode.SUB
+        stream = (_ops(A, (0, 8), (add, 2, 0, 1))
+                  + _ops(B, (0, 8), (add, 2, 0, 1), (mul, 5, 2, 2),
+                         (sub, 6, 5, 0))
+                  + [_xfer(A, B, (8, 16), (0, 8), dst_col=3, src1=2)]
+                  + _ops(A, (0, 8), (mul, 2, 2, 2))
+                  + _ops(B, (8, 16), (add, 4, 3, 3)))
+        plan = _serial_equal_program(_two_tile_chip, [A, B], stream)
+        # rounds: ADD on A and B | MUL B | SUB B | copy | MUL A, ADD B
+        assert _program_sizes(plan) == (5, 1)
+        assert [_is_copy(e) for e in plan.programs[0]] == [
+            False, False, False, True, False, False]
+
+    def test_transfer_from_cells_the_run_never_writes_has_one_queue(self):
+        """A TRANSFER whose source no op of the run writes joins only its
+        destination's queue, so it moves in the first round while its
+        source block computes, and the two TRANSFERs share one copy."""
+        A, B, C, D = 0, 1, 2, 3
+        add, mul = Opcode.ADD, Opcode.MUL
+        stream = (_ops(A, (0, 8), (add, 2, 0, 1)) + _ops(C, (0, 8), (add, 2, 0, 1))
+                  + _ops(A, (0, 8), (mul, 2, 2, 2)) + _ops(C, (0, 8), (mul, 2, 2, 2))
+                  + [_xfer(A, B, (0, 8), (4, 12), dst_col=4, src1=3),
+                     _xfer(C, D, (0, 8), (4, 12), dst_col=4, src1=3)]
+                  + _ops(B, (0, 8), (add, 5, 4, 4)) + _ops(D, (0, 8), (add, 5, 4, 4)))
+        plan = _serial_equal_program(_two_tile_chip, [A, B, C, D], stream)
+        # rounds: ADD on A and C, the copy | MUL on A and C, ADD on B and D
+        assert [_is_copy(e) for e in plan.programs[0]] == [
+            False, True, False, False]
+
+    def test_shard_flux_runs_one_call_per_face_and_op(self):
+        """A shard-style flux in emission order: element by element, each
+        face a fetch from a neighbour's state column (which the run never
+        writes) and 14 ops on the fetched rows.  Lockstep across the
+        fetches, 16 elements compile into one copy per face and one call
+        per (face, op) over all 16 blocks."""
+        from repro.dg import ReferenceElement
+
+        faces = ReferenceElement(2).face_nodes
+        add, mul, sub, copy = Opcode.ADD, Opcode.MUL, Opcode.SUB, Opcode.COPY
+        fourteen = [(mul, 5, 4, 1), (add, 6, 5, 0), (sub, 7, 4, 0),
+                    (mul, 8, 7, 2), (add, 9, 8, 6), (copy, 10, 9, None),
+                    (mul, 5, 10, 3), (sub, 6, 5, 1), (add, 7, 6, 2),
+                    (mul, 8, 7, 7), (add, 9, 9, 8), (sub, 10, 10, 5),
+                    (mul, 11, 10, 1), (add, 12, 12, 11)]
+        stream = []
+        for e in range(16):
+            for f in range(6):
+                nb = (e + (1, -1, 4, -4, 5, -5)[f]) % 16
+                rows = np.asarray(faces[f])
+                stream.append(_xfer(nb, e, rows, rows, dst_col=4, src1=0))
+                stream += _ops(e, rows, *fourteen)
+        plan = _serial_equal_program(_flux_chip, list(range(16)), stream)
+        assert _program_sizes(plan) == (6 * 14, 6)
+        for entry in plan.programs[0]:
+            blocks = entry[2][0] if not _is_copy(entry) else None
+            assert blocks is None or blocks == slice(0, 16, 1)
+
+    @pytest.mark.parametrize("where", ["compute", "transfer"])
+    def test_bad_op_in_last_run_raises_before_first_run_changes(self, where):
+        """Every op of every run is validated before the first executes."""
+        from repro.pim.isa import barrier
+
+        rows = _two_tile_chip().config.block_rows
+        bad = {
+            "compute": _ops(2, (rows - 2, rows + 1), (Opcode.ADD, 0, 1, 2)),
+            "transfer": [_xfer(1, 2, (0, 4), (0, 5), dst_col=1, src1=0)],
+        }[where]
+        stream = (_ops(0, (0, 8), (Opcode.ADD, 2, 0, 1))
+                  + [_xfer(0, 1, (0, 4), (0, 4), dst_col=1, src1=2), barrier()]
+                  + _ops(1, (0, 8), (Opcode.MUL, 3, 1, 1)) + [barrier()]
+                  + _ops(2, (0, 8), (Opcode.SUB, 3, 1, 0)) + bad)
+        chip = _two_tile_chip()
+        _ls_load(chip, [0, 1, 2], seed=9)
+        before = _ls_digests(chip, [0, 1, 2])
+        ex = ChipExecutor(chip)
+        plan = ex.lower(stream)
+        assert len(plan.runs) == 3
+        with pytest.raises((IndexError, ValueError)):
+            ex.run(plan, functional=True)
+        assert plan.programs is None
+        assert _ls_digests(chip, [0, 1, 2]) == before
+
+    @staticmethod
+    def _bench_problem(physics, level, flux):
+        """The bench problem's mesh and kernel factory (order 2)."""
+        from repro.core.kernels.acoustic import AcousticOneBlockKernels
+        from repro.core.kernels.elastic import ElasticFourBlockKernels
+        from repro.dg import (
+            AcousticMaterial,
+            ElasticMaterial,
+            HexMesh,
+            ReferenceElement,
+        )
+
+        mesh = HexMesh.from_refinement_level(level)
+        elem = ReferenceElement(2)
+        if physics == "acoustic":
+            mat = AcousticMaterial.homogeneous(mesh.n_elements)
+            cls = AcousticOneBlockKernels
+        else:
+            mat = ElasticMaterial.homogeneous(mesh.n_elements)
+            cls = ElasticFourBlockKernels
+        return mesh, lambda mapper: cls(mesh, elem, mat, mapper,
+                                        flux_kind=flux)
+
+    @pytest.mark.parametrize("physics,level,flux,g,sizes", [
+        ("acoustic", 2, "riemann", 1, (895, 30)),  # pim-acoustic-r2
+        ("elastic", 1, "central", 4, (2610, 545)),  # pim-elastic-r1
+    ])
+    def test_bench_step_program_sizes(self, physics, level, flux, g, sizes):
+        """The bench steps' programs on 512MB.  A scheduled plan is
+        regrouped in emission order, so these are also the sizes of the
+        bench's scheduled plans (per-segment programs and per-transfer-run
+        copies took 3,469 calls + 187 copies and 8,593 + 1,972)."""
+        from repro.core.mapper import ElementMapper
+
+        chip = PimChip(CHIP_CONFIGS["512MB"])
+        mesh, make = self._bench_problem(physics, level, flux)
+        kern = make(ElementMapper(mesh.m, chip.config, g))
+        plan = ChipExecutor(chip).lower(kern.time_step(1e-4))
+        plan.build_programs(chip)
+        assert _program_sizes(plan) == sizes
+
+    def test_shard4_flux_program_size(self):
+        """shard4-acoustic-r2's flux plan, per shard and RK stage: 84
+        calls over all 16 blocks + 10 copies (1,344 single-block calls
+        and 96 copies while every TRANSFER ended a lockstep program)."""
+        from repro.pim.multichip import ShardedExecutor
+        from repro.workloads.sharding import shard_proxy_chip
+
+        mesh, make = self._bench_problem("acoustic", 2, "riemann")
+        sx = ShardedExecutor(mesh, shard_proxy_chip(), make, n_shards=4)
+        sx.lower_step(1e-4)
+        for sh in sx.shards:
+            sh.flux_plan.build_programs(sh.chip)
+            assert _program_sizes(sh.flux_plan) == (84, 10)
 
 
 class TestAccountingRuns:
