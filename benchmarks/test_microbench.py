@@ -156,6 +156,44 @@ def test_sharded_step_throughput(benchmark):
     benchmark.extra_info["pim_instructions"] = res.report.n_instructions
 
 
+@pytest.mark.benchmark(group="micro")
+def test_cold_compile_throughput(benchmark):
+    """One uncached order-7 compile of elastic_5 Riemann on 16GB per
+    round: the grid's largest fetch lanes, 3,072 TRANSFERs per face set,
+    which ``flux_fetches`` builds without the flux compute.  A spy checks
+    that ``flux()`` only ever sees one element, so the new path runs even
+    with timing off."""
+    from unittest import mock
+
+    from repro.core.compiler import WavePimCompiler
+    from repro.core.kernels.base import KernelBase
+    from repro.core.kernels.elastic import ElasticFourBlockKernels
+
+    real_flux = ElasticFourBlockKernels.flux
+    real_fetches = KernelBase.flux_fetches
+    flux_sizes, lane_sizes = [], []
+
+    def flux_spy(self, faces=range(6), *args, elements=None, **kwargs):
+        flux_sizes.append(len(elements))
+        return real_flux(self, faces, *args, elements=elements, **kwargs)
+
+    def fetches_spy(self, faces=range(6), elements=None):
+        out = real_fetches(self, faces, elements)
+        lane_sizes.append(len(out))
+        return out
+
+    def run():
+        return WavePimCompiler(order=7).compile(
+            "elastic", 5, CHIP_CONFIGS["16GB"], "riemann")
+
+    with mock.patch.object(ElasticFourBlockKernels, "flux", flux_spy), \
+            mock.patch.object(KernelBase, "flux_fetches", fetches_spy):
+        cb = benchmark(run)
+    assert cb.stage_times.flux_fetch_minus > 0
+    assert flux_sizes and max(flux_sizes) == 1
+    assert lane_sizes and set(lane_sizes) == {3072}
+
+
 # --------------------------------------------------------------------- #
 # perf-regression guard (methodology lives in repro.eval.bench, shared
 # with the `repro bench` subcommand and the CI perf job)

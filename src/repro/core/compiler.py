@@ -9,7 +9,9 @@ representative instruction streams on the chip model:
 * Flux *fetch* contends for the tile interconnect, so the transfer
   streams of every element in one tile are scheduled together (all tiles
   are statistically identical for a uniform mesh) — this is where the
-  H-tree/Bus gap of Fig. 14 comes from;
+  H-tree/Bus gap of Fig. 14 comes from.  Those streams come from the
+  kernels' ``flux_fetches``: the flux TRANSFERs alone, in flux order, so
+  no compute instruction is built for the tile's other elements;
 * host sqrt/inverse pre-processing and batching DRAM traffic are priced
   by their models.
 
@@ -263,11 +265,15 @@ class WavePimCompiler:
         # the fetch stream covers fully-interior elements only (thin-batch
         # fallbacks have their off-batch faces priced by the Fig. 7 passes),
         # so filter the *true* interior set, reused instead of recomputed.
-        rep_tile = mapper.tile_of(interior[0])
-        tile_elems = [e for e in true_interior if mapper.tile_of(e) == rep_tile]
-        fetch_m = run(self._fetch_only(kern, MINUS_FACES, tile_elems),
+        # The mask keeps true_interior's order: the lane is replayed in
+        # emission order, so that order sets its time.
+        true = np.asarray(true_interior, dtype=np.int64)
+        tile_elems = true[
+            np.isin(true, mapper.elements_in_tile(mapper.tile_of(interior[0])))
+        ].tolist()
+        fetch_m = run(kern.flux_fetches(MINUS_FACES, tile_elems),
                       "fetch_minus_kernel").total_time_s
-        fetch_p = run(self._fetch_only(kern, PLUS_FACES, tile_elems),
+        fetch_p = run(kern.flux_fetches(PLUS_FACES, tile_elems),
                       "fetch_plus_kernel").total_time_s
 
         metrics = get_metrics()
@@ -322,9 +328,3 @@ class WavePimCompiler:
             n_elements=mesh.n_elements,
             elements_per_batch=plan.elements_per_batch,
         )
-
-    @staticmethod
-    def _fetch_only(kern, faces, elements):
-        """The TRANSFER sub-stream of the flux kernel for a set of elements."""
-        insts = kern.flux(faces=faces, elements=elements)
-        return [i for i in insts if i.op is Opcode.TRANSFER and "fetch" in i.tag]

@@ -20,6 +20,8 @@ solver — and carry the cost tags behind Figs. 13/14.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.core.kernels.base import KernelBase, face_sign_axis
@@ -87,7 +89,6 @@ class AcousticOneBlockKernels(KernelBase):
         super().__init__(mesh, element, mapper, flux_kind)
         self.material = material
         self.layout = ElementLayout(element.order, variables=_VARS)
-        self.flux_coeffs = acoustic_flux_coefficients(material, mesh, self.lift, flux_kind)
         lay = self.layout
         s = lay.scratch
         s.free_all()
@@ -105,6 +106,12 @@ class AcousticOneBlockKernels(KernelBase):
         # integration constants A_s, dt, B_s reuse the flux-coefficient
         # registers -- Integration and Flux never overlap inside a block.
         self.r_ic = self.r_c
+
+    @cached_property
+    def flux_coeffs(self) -> np.ndarray:
+        """The ``(K, 6, 4)`` flux coefficient table, built on first use
+        (``setup`` is its only reader; compiles never build it)."""
+        return acoustic_flux_coefficients(self.material, self.mesh, self.lift, self.flux_kind)
 
     # ------------------------------------------------------------------ #
     # setup: constants + state  (Fig. 6 step 1 / Fig. 5 storage space)
@@ -217,16 +224,13 @@ class AcousticOneBlockKernels(KernelBase):
         for e in (self.mapper.elements if elements is None else elements):
             b = self.mapper.block_of(e)
             for face in faces:
-                fr = self.face_rows(face)
-                nfr = self.neighbor_face_rows(face)
-                _, axis = face_sign_axis(face)
-                nbr = self.neighbor(e, face)
-                if nbr is None:
+                fetches = self._face_transfers(e, face, fetch_tag)
+                if not fetches:
                     continue
-                nb = self.mapper.block_of(nbr)
+                fr = fetches[0].rows  # shared with the TRANSFERs
+                _, axis = face_sign_axis(face)
                 # 1. fetch the neighbor's 4 variables at its matching face
-                insts.append(self._transfer(
-                    b, nb, fr, nfr, self.r_nb, lay.col_var["p"], 4, fetch_tag))
+                insts += fetches
                 # 2. flux coefficients from the face's storage row
                 cmap = lay.face_row_map(fr, lay.row_flux0 + face)
                 used = (0, 1, 2, 3) if riemann else (0, 2)
@@ -259,6 +263,15 @@ class AcousticOneBlockKernels(KernelBase):
                 cv = lay.col_contrib[_VARS[1 + axis]]
                 insts.append(self._arith(Opcode.ADD, b, fr, cv, cv, self.r_t1, compute_tag))
         return insts
+
+    def _face_transfers(self, e, face, fetch_tag) -> list:
+        """One fetch of the neighbor's four variables at its matching face."""
+        nbr = self.neighbor(e, face)
+        if nbr is None:
+            return []
+        return [self._transfer(
+            self.mapper.block_of(e), self.mapper.block_of(nbr), self.face_rows(face),
+            self.neighbor_face_rows(face), self.r_nb, self.layout.col_var["p"], 4, fetch_tag)]
 
     # ------------------------------------------------------------------ #
     # Integration (one LSRK stage)
@@ -310,7 +323,6 @@ class AcousticFourBlockKernels(KernelBase):
         self.material = material
         self.lay_v = ElementLayout(element.order, variables=("v",))
         self.lay_p = ElementLayout(element.order, variables=("p",))
-        self.flux_coeffs = acoustic_flux_coefficients(material, mesh, self.lift, flux_kind)
         # scratch registers (same offsets valid in both layouts: the single-
         # variable layouts are identical column-wise)
         for lay in (self.lay_v, self.lay_p):
@@ -331,6 +343,12 @@ class AcousticFourBlockKernels(KernelBase):
         self.r_t1 = s.alloc()
         self.r_t2 = s.alloc()
         self.r_ic = s.alloc(3)
+
+    @cached_property
+    def flux_coeffs(self) -> np.ndarray:
+        """The ``(K, 6, 4)`` flux coefficient table, built on first use
+        (``setup`` is its only reader; compiles never build it)."""
+        return acoustic_flux_coefficients(self.material, self.mesh, self.lift, self.flux_kind)
 
     # -- placement helpers -------------------------------------------------- #
 
@@ -442,26 +460,15 @@ class AcousticFourBlockKernels(KernelBase):
         for e in (self.mapper.elements if elements is None else elements):
             pb = self.pblock(e)
             for face in faces:
-                fr = self.face_rows(face)
-                nfr = self.neighbor_face_rows(face)
-                _, axis = face_sign_axis(face)
-                nbr = self.neighbor(e, face)
-                if nbr is None:
+                moves = self._face_transfers(e, face, fetch_tag)
+                if not moves:
                     continue
+                fr = moves[0].rows  # shared with the TRANSFERs
+                _, axis = face_sign_axis(face)
                 vb = self.vblock(e, axis)
-                # 1. inter-element fetches into the buffer block (part 3)
-                insts.append(self._transfer(
-                    pb, self.pblock(nbr), fr, nfr, self.r_nb_p, lp.col_var["p"], 1, fetch_tag))
-                insts.append(self._transfer(
-                    pb, self.vblock(nbr, axis), fr, nfr, self.r_nb_v, lv.col_var["v"], 1,
-                    fetch_tag))
+                # 1. inter-element fetches into the buffer block (part 3),
                 # 2. short intra-quad distribution to the axis block
-                insts.append(self._transfer(
-                    vb, pb, fr, fr, self.r_nb_p, self.r_nb_p, 1, f"{fetch_tag}:intra"))
-                insts.append(self._transfer(
-                    vb, pb, fr, fr, self.r_nb_v, self.r_nb_v, 1, f"{fetch_tag}:intra"))
-                insts.append(self._transfer(
-                    vb, pb, fr, fr, self.r_pcopy, lp.col_var["p"], 1, f"{fetch_tag}:intra"))
+                insts += moves[:5]
                 # 3. axis block computes both corrections
                 cmap = lv.face_row_map(fr, lv.row_flux0 + face)
                 used = (0, 1, 2, 3) if riemann else (0, 2)
@@ -489,11 +496,34 @@ class AcousticFourBlockKernels(KernelBase):
                         Opcode.MUL, vb, fr, self.r_t2, self.r_c + 1, self.r_dp, compute_tag))
                     insts.append(self._arith(
                         Opcode.ADD, vb, fr, self.r_t1, self.r_t1, self.r_t2, compute_tag))
-                insts.append(self._transfer(
-                    pb, vb, fr, fr, self.r_t1, self.r_t1, 1, f"{fetch_tag}:intra"))
+                insts.append(moves[5])
                 cp = lp.col_contrib["p"]
                 insts.append(self._arith(Opcode.ADD, pb, fr, cp, cp, self.r_t1, compute_tag))
         return insts
+
+    def _face_transfers(self, e, face, fetch_tag) -> list:
+        """The neighbor's p and axis-v fetches into the buffer block, the
+        three intra-quad copies to the axis block, then the return of the
+        pressure correction to the p block."""
+        nbr = self.neighbor(e, face)
+        if nbr is None:
+            return []
+        lv, lp = self.lay_v, self.lay_p
+        fr = self.face_rows(face)
+        nfr = self.neighbor_face_rows(face)
+        _, axis = face_sign_axis(face)
+        pb, vb = self.pblock(e), self.vblock(e, axis)
+        intra = f"{fetch_tag}:intra"
+        return [
+            self._transfer(pb, self.pblock(nbr), fr, nfr, self.r_nb_p, lp.col_var["p"], 1,
+                           fetch_tag),
+            self._transfer(pb, self.vblock(nbr, axis), fr, nfr, self.r_nb_v, lv.col_var["v"], 1,
+                           fetch_tag),
+            self._transfer(vb, pb, fr, fr, self.r_nb_p, self.r_nb_p, 1, intra),
+            self._transfer(vb, pb, fr, fr, self.r_nb_v, self.r_nb_v, 1, intra),
+            self._transfer(vb, pb, fr, fr, self.r_pcopy, lp.col_var["p"], 1, intra),
+            self._transfer(pb, vb, fr, fr, self.r_t1, self.r_t1, 1, intra),
+        ]
 
     def integration(self, stage: int, dt: float, tag: str = "integration", elements=None) -> list:
         a_s, b_s = float(self.rk.A[stage]), float(self.rk.B[stage])

@@ -31,8 +31,9 @@ def face_sign_axis(face: int) -> tuple[float, int]:
 class KernelBase:
     """Common state and emit helpers for the per-physics kernel builders.
 
-    Subclasses own the flux coefficient tables (host-precomputed, §4.3)
-    and the per-kernel instruction emitters.
+    Subclasses own the flux coefficient tables (host-precomputed, §4.3,
+    built on the first ``setup()``, their only reader) and the per-kernel
+    instruction emitters.
     """
 
     def __init__(
@@ -151,6 +152,36 @@ class KernelBase:
                 "physical boundaries are handled by the numpy reference solver"
             )
         return nbr if nbr in self.mapper else None
+
+    # -- flux transfers ---------------------------------------------------- #
+
+    def _face_transfers(self, e: int, face: int, fetch_tag: str) -> list:
+        """The TRANSFERs ``flux`` emits for one face of element ``e``, in
+        stream order; empty when the neighbor is off-batch.
+
+        ``flux`` splices its compute instructions between these, and
+        :meth:`flux_fetches` concatenates them, so the two streams share
+        one source and cannot drift apart.  ``flux`` also gives its
+        compute the first TRANSFER's ``rows`` object, so a face has one
+        rows object: lowering and scheduling memoize row selectors by
+        identity.
+        """
+        raise NotImplementedError
+
+    def flux_fetches(self, faces=range(6), elements=None) -> list:
+        """The TRANSFER sub-stream of ``flux(faces, elements=elements)``.
+
+        Same instructions in the same order (every flux TRANSFER is tagged
+        ``flux:fetch`` or ``flux:fetch:intra``), built without a single
+        compute instruction: the compiler's Fig. 13 fetch lanes replay
+        these for every element of a tile, while the compute lanes need
+        one element.
+        """
+        insts = []
+        for e in (self.mapper.elements if elements is None else elements):
+            for face in faces:
+                insts += self._face_transfers(e, face, "flux:fetch")
+        return insts
 
     # -- stage composition ------------------------------------------------- #
 

@@ -38,6 +38,8 @@ serves through LUTs (Sec 4.3 / 5.1).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.core.kernels.base import KernelBase, face_sign_axis
@@ -138,12 +140,6 @@ class ElasticFourBlockKernels(KernelBase):
             raise ValueError(f"elastic E_r needs blocks_per_element=4, got {mapper.g}")
         self.material = material
         self.lay3 = ElementLayout(element.order, variables=self._ABC)
-        if flux_kind == "central":
-            self.flux_coeffs = np.broadcast_to(
-                CENTRAL_COEFFS, (mesh.n_elements, 6, 8)
-            ).copy()
-        else:
-            self.flux_coeffs = elastic_flux_coefficients(material, mesh)
 
         # Register file over the 20 scratch columns.  Scratch columns are
         # per-block storage, so the flux registers (live on the buffer
@@ -169,6 +165,15 @@ class ElasticFourBlockKernels(KernelBase):
         self.r_c = s0 + 15  # 2 cols: coefficient gathers
         self.r_t = s0 + 17  # 2 cols: temporaries / outgoing corrections
         assert s0 + 19 <= self.lay3.row_words
+
+    @cached_property
+    def flux_coeffs(self) -> np.ndarray:
+        """The ``(K, 6, 8)`` star coefficient table, built on first use
+        (``setup`` is its only reader; compiles never build it).  Central
+        flux is a read-only broadcast view of :data:`CENTRAL_COEFFS`."""
+        if self.flux_kind == "central":
+            return np.broadcast_to(CENTRAL_COEFFS, (self.mesh.n_elements, 6, 8))
+        return elastic_flux_coefficients(self.material, self.mesh)
 
     # -- placement -------------------------------------------------------- #
 
@@ -381,33 +386,18 @@ class ElasticFourBlockKernels(KernelBase):
         for e in (self.mapper.elements if elements is None else elements):
             e = int(e)
             bb = self.mapper.block_of(e, self.B)
-            vb = self.mapper.block_of(e, self.V)
             for face in faces:
-                fr = self.face_rows(face)
-                nfr = self.neighbor_face_rows(face)
-                sign, axis = face_sign_axis(face)
-                nbr = self.neighbor(e, face)
-                if nbr is None:
+                moves = self._face_transfers(e, face, fetch_tag)
+                if not moves:
                     continue
-                trac = TRACTION_VARS[axis]
+                fr = moves[0].rows  # shared with the TRANSFERs
+                sign, axis = face_sign_axis(face)
                 cmap = lay.face_row_map(fr, lay.row_flux0 + face)
 
-                # 1. inter-element fetches into the buffer block
-                insts.append(self._transfer(
-                    bb, self.mapper.block_of(nbr, self.V), fr, nfr, self.r_nb_v,
-                    lay.col_var["a"], 3, fetch_tag))
-                for i, var in enumerate(trac):
-                    nb_b, nb_col = self.block_of_var(nbr, var)
-                    insts.append(self._transfer(
-                        bb, nb_b, fr, nfr, self.r_nb_t + i, nb_col, 1, fetch_tag))
+                # 1. inter-element fetches into the buffer block,
                 # 2. own data over the short intra-quad paths (Fig. 9)
-                insts.append(self._transfer(
-                    bb, vb, fr, fr, self.r_own_v, lay.col_var["a"], 3,
-                    f"{fetch_tag}:intra"))
-                for i, var in enumerate(trac):
-                    ob, ocol = self.block_of_var(e, var)
-                    insts.append(self._transfer(
-                        bb, ob, fr, fr, self.r_own_t + i, ocol, 1, f"{fetch_tag}:intra"))
+                insts += moves[:8]
+                returns = iter(moves[8:])
 
                 # 3. jumps, in place: Dv_i = s (v+ - v-) — the outward sign
                 #    is folded in by swapping the SUB operands on negative
@@ -435,17 +425,16 @@ class ElasticFourBlockKernels(KernelBase):
                         bb, fr, face, self.r_own_t + i, self.r_nb_t + i,
                         self.r_nb_v + i, cm, co, compute_tag, skip_other=not riemann)
 
-                # 5. corrections, shipped to the hosting blocks
+                # 5. corrections, shipped to the hosting blocks by the
+                #    returns that end ``moves``
                 def correction(dst_var, emit):
                     local = []
                     emit(local)
-                    db, _ = self.block_of_var(e, dst_var)
-                    local.append(self._transfer(
-                        db, bb, fr, fr, self.r_t + 0, self.r_t + 0, 1,
-                        f"{fetch_tag}:intra"))
+                    ret = next(returns)
+                    local.append(ret)
                     cc = self._contrib_col(dst_var)
                     local.append(self._arith(
-                        Opcode.ADD, db, fr, cc, cc, self.r_t + 0, compute_tag))
+                        Opcode.ADD, ret.block, fr, cc, cc, self.r_t + 0, compute_tag))
                     return local
 
                 # common diagonal term lift*lam*X (const col 8)
@@ -501,6 +490,44 @@ class ElasticFourBlockKernels(KernelBase):
 
                     insts += correction(var, emit_vel)
         return insts
+
+    def _face_transfers(self, e, face, fetch_tag) -> list:
+        """The neighbor's velocity and traction fetches into the buffer
+        block, the intra-quad copies of the element's own, then the eight
+        corrections returned to their hosting blocks in ``flux`` order:
+        diagonal stresses, off-diagonals ``sigma_{axis,j}``, velocities."""
+        nbr = self.neighbor(e, face)
+        if nbr is None:
+            return []
+        e = int(e)
+        lay = self.lay3
+        fr = self.face_rows(face)
+        nfr = self.neighbor_face_rows(face)
+        _, axis = face_sign_axis(face)
+        trac = TRACTION_VARS[axis]
+        bb = self.mapper.block_of(e, self.B)
+        intra = f"{fetch_tag}:intra"
+        moves = [self._transfer(
+            bb, self.mapper.block_of(nbr, self.V), fr, nfr, self.r_nb_v,
+            lay.col_var["a"], 3, fetch_tag)]
+        for i, var in enumerate(trac):
+            nb_b, nb_col = self.block_of_var(nbr, var)
+            moves.append(self._transfer(
+                bb, nb_b, fr, nfr, self.r_nb_t + i, nb_col, 1, fetch_tag))
+        moves.append(self._transfer(
+            bb, self.mapper.block_of(e, self.V), fr, fr, self.r_own_v,
+            lay.col_var["a"], 3, intra))
+        for i, var in enumerate(trac):
+            ob, ocol = self.block_of_var(e, var)
+            moves.append(self._transfer(
+                bb, ob, fr, fr, self.r_own_t + i, ocol, 1, intra))
+        for var in ([TENSOR_TO_VOIGT[(i, i)] for i in range(3)]
+                    + [TENSOR_TO_VOIGT[(axis, j)] for j in range(3) if j != axis]
+                    + list(V_VARS)):
+            db, _ = self.block_of_var(e, var)
+            moves.append(self._transfer(
+                db, bb, fr, fr, self.r_t + 0, self.r_t + 0, 1, intra))
+        return moves
 
     # ------------------------------------------------------------------ #
 

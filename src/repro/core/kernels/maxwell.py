@@ -193,13 +193,12 @@ class MaxwellOneBlockKernels(KernelBase):
             e = int(e)
             b = self.mapper.block_of(e)
             for face in faces:
-                fr = self.face_rows(face)
-                nfr = self.neighbor_face_rows(face)
-                _, axis = face_sign_axis(face)
-                nbr = self.neighbor(e, face)
-                if nbr is None:
+                moves = self._face_transfers(e, face, fetch_tag)
+                if not moves:
                     continue
-                nb = self.mapper.block_of(nbr)
+                fetches = iter(moves)
+                fr = moves[0].rows  # shared with the TRANSFERs
+                _, axis = face_sign_axis(face)
                 cmap = lay.face_row_map(fr, lay.row_flux0 + face)
                 # only two scratch columns are free in the 6-variable
                 # layout, so neighbor operands are fetched pairwise per
@@ -219,8 +218,7 @@ class MaxwellOneBlockKernels(KernelBase):
                         partner = self._var_col(k_idx, field)
                         same = self._var_col(i, target)
                         # jumps: d_partner, d_same
-                        insts.append(self._transfer(
-                            b, nb, fr, nfr, self.r_nb + 0, partner, 1, fetch_tag))
+                        insts.append(next(fetches))
                         insts.append(self._arith(
                             Opcode.SUB, b, fr, self.r_d + 0, self.r_nb + 0, partner,
                             compute_tag))
@@ -237,8 +235,7 @@ class MaxwellOneBlockKernels(KernelBase):
                                 Opcode.SUB, b, fr, self.r_t, self.r_d + 1, self.r_t,
                                 compute_tag))
                         if upwind:
-                            insts.append(self._transfer(
-                                b, nb, fr, nfr, self.r_nb + 1, same, 1, fetch_tag))
+                            insts.append(next(fetches))
                             insts.append(self._arith(
                                 Opcode.SUB, b, fr, self.r_d + 1, self.r_nb + 1, same,
                                 compute_tag))
@@ -254,6 +251,31 @@ class MaxwellOneBlockKernels(KernelBase):
                         insts.append(self._arith(
                             Opcode.ADD, b, fr, cc, cc, self.r_t, compute_tag))
         return insts
+
+    def _face_transfers(self, e, face, fetch_tag) -> list:
+        """Per correction (two tangential components, sourcing H then E):
+        the partner-field fetch, then with upwind flux the same-field one."""
+        nbr = self.neighbor(e, face)
+        if nbr is None:
+            return []
+        b, nb = self.mapper.block_of(int(e)), self.mapper.block_of(nbr)
+        fr = self.face_rows(face)
+        nfr = self.neighbor_face_rows(face)
+        _, axis = face_sign_axis(face)
+        moves = []
+        for i in range(3):
+            if i == axis:
+                continue
+            for field in ("H", "E"):
+                target = "E" if field == "H" else "H"
+                moves.append(self._transfer(
+                    b, nb, fr, nfr, self.r_nb + 0, self._var_col(3 - i - axis, field), 1,
+                    fetch_tag))
+                if self.alpha != 0.0:
+                    moves.append(self._transfer(
+                        b, nb, fr, nfr, self.r_nb + 1, self._var_col(i, target), 1,
+                        fetch_tag))
+        return moves
 
     # -- Integration -------------------------------------------------------- #
 

@@ -23,7 +23,7 @@ intersected with the link busy windows, not asserted from the schedule.
 Correctness rests on a dataflow property of the kernel family: the flux
 emitters fetch only the neighbor's *variable* columns, and variable
 columns are written only by ``load_state`` and each stage's integration.
-Exchanging ghost-element block state right after integration therefore
+Exchanging the ghost elements' node rows right after integration therefore
 reproduces single-chip semantics bit-for-bit — verified by the PL005
 halo-coverage audit (:mod:`repro.analysis.halo`) plus the N-shard ==
 1-shard digest sweep in the tests.
@@ -41,6 +41,7 @@ import hashlib
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -383,8 +384,8 @@ class ShardedExecutor:
         Deterministic: directed pairs go in sorted order, each link keeps
         its own occupancy, and an exchange departs no earlier than the
         source shard's post-integration clock.  The functional copy moves
-        the ghost elements' full block state (kernel-agnostic and
-        bitwise exact).
+        the element rows of every ghost block (:attr:`_ghost_rows`), which
+        leaves each ghost block equal to its owner's, bit for bit.
         """
         arrivals = [0.0] * self.n_shards
         for (src, dst) in sorted(self.sharding.exchanges):
@@ -397,13 +398,31 @@ class ShardedExecutor:
             events.append((src, dst, t0, t1, n_bytes))
             arrivals[dst] = max(arrivals[dst], t1)
             if functional:
-                src_sh, dst_sh = self.shards[src], self.shards[dst]
-                for e in elems:
-                    for part in range(self.g):
-                        sb = src_sh.chip.block(src_sh.mapper.block_of(e, part))
-                        db = dst_sh.chip.block(dst_sh.mapper.block_of(e, part))
-                        db.data[:, :] = sb.data
+                for ghost, owner in self._ghost_rows[(src, dst)]:
+                    ghost[...] = owner
         return arrivals
+
+    @cached_property
+    def _ghost_rows(self) -> Dict[Tuple[int, int], List[Tuple[np.ndarray, np.ndarray]]]:
+        """``(src, dst)`` -> ``(ghost, owner)`` views of rows
+        ``[0, n_nodes)`` of every block the pair's exchange copies.
+
+        A step writes only an element's node rows; its storage rows are
+        written by ``setup`` alone, with the same values on every shard
+        that hosts the element.  So copying the node rows keeps a ghost
+        block equal to its owner's on all rows.  Resolved on the first
+        functional exchange (block storage never moves).
+        """
+        n = int(self.shards[0].kernels.element.n_nodes)
+        views: Dict[Tuple[int, int], List[Tuple[np.ndarray, np.ndarray]]] = {}
+        for (src, dst), elems in self.sharding.exchanges.items():
+            src_sh, dst_sh = self.shards[src], self.shards[dst]
+            views[(src, dst)] = [
+                (dst_sh.chip.block(dst_sh.mapper.block_of(e, part)).data[:n],
+                 src_sh.chip.block(src_sh.mapper.block_of(e, part)).data[:n])
+                for e in elems for part in range(self.g)
+            ]
+        return views
 
     def run_steps(self, dt: float, n_steps: int = 1,
                   functional: bool = True) -> ShardedResult:

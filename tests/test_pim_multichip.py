@@ -127,6 +127,19 @@ def _replayed_fetches(call):
     return out, sum(seen)
 
 
+def _ghost_mismatches(sx):
+    """Ghost blocks that differ from their owner's block on any bit."""
+    bad = 0
+    for (src, dst), elems in sx.sharding.exchanges.items():
+        owner, ghost = sx.shards[src], sx.shards[dst]
+        for e in elems:
+            for part in range(sx.g):
+                a = owner.chip.block(owner.mapper.block_of(e, part)).data
+                b = ghost.chip.block(ghost.mapper.block_of(e, part)).data
+                bad += not np.array_equal(a.view(np.uint32), b.view(np.uint32))
+    return bad
+
+
 def _state(mesh, element, n_vars, seed=0):
     rng = np.random.default_rng(seed)
     return (0.1 * rng.standard_normal(
@@ -273,6 +286,37 @@ class TestBitIdentity:
         assert sx.state_digests() == digests
         # functional path: the assembled global state
         assert np.array_equal(sx.read_state(), ref_state)
+
+    @pytest.mark.parametrize("physics,flux,level,n_shards,n_vars", SWEEP)
+    def test_ghost_blocks_equal_owners_after_every_exchange(
+            self, physics, flux, level, n_shards, n_vars):
+        """The exchange copies only each ghost block's node rows, yet
+        after every round of a 2-step functional run every ghost block
+        equals its owner's on all rows, and the digests equal the 1-shard
+        run's."""
+        mesh = HexMesh.from_refinement_level(level)
+        elem = ReferenceElement(1)
+        factory, g = _factory(physics, flux, mesh, elem)
+        state = _state(mesh, elem, n_vars, seed=4)
+        one = ShardedExecutor(mesh, CHIP, factory, n_shards=1, blocks_per_element=g)
+        one.setup(state)
+        one.run_steps(DT, n_steps=2)
+
+        sx = ShardedExecutor(mesh, CHIP, factory, n_shards=n_shards,
+                             blocks_per_element=g)
+        sx.setup(state)
+        real = ShardedExecutor._exchange
+        rounds = []
+
+        def checked(self, functional, events):
+            arrivals = real(self, functional, events)
+            rounds.append(_ghost_mismatches(self))
+            return arrivals
+
+        with mock.patch.object(ShardedExecutor, "_exchange", checked):
+            sx.run_steps(DT, n_steps=2)
+        assert rounds == [0] * (2 * LSRK45.n_stages - 1)
+        assert sx.state_digests() == one.state_digests()
 
     def test_split_run_steps_match_one_call(self):
         """Stepping in three calls equals stepping in one: the exchange
